@@ -14,7 +14,7 @@ from fractions import Fraction
 from .engine import detect_communities, format_trace_csv
 from .generators import complete_binary_tree, daisy_graph, tree_core_partition
 from .graph import Graph, format_edge_list, load_edge_list, min_cut
-from .modularity import bounds_report, modularity, modularity_complement
+from .modularity import bounds_report
 from .measures import CommunityAggregates
 from .oracle import best_partition
 from .partition import Partition, format_partition, parse_partition, refine_connected
@@ -55,8 +55,9 @@ def _cmd_detect(args) -> int:
     part, trace = detect_communities(graph, t_min)
     if args.ensure_connected:
         part = refine_connected(graph, part)
-    q_tmin = modularity(graph, part, t_min)
-    q_1 = modularity(graph, part, Fraction(1))
+    agg = CommunityAggregates.from_partition(graph, part)
+    q_tmin = agg.score(t_min)
+    q_1 = agg.score(1)
     final = trace[-1]
     print(f"n {graph.n}")
     print(f"z {graph.z}")
@@ -80,16 +81,15 @@ def _cmd_score(args) -> int:
     graph, labels = _read_graph(args.graph)
     part = parse_partition(_read_text(args.partition), labels)
     t = _parse_t(args.t, "--t")
-    q = modularity(graph, part, t)
-    qbar = modularity_complement(graph, part, t)
     agg = CommunityAggregates.from_partition(graph, part)
-    alpha = sum(agg.expected_fraction(c, c) for c in range(agg.k))
+    q = agg.score(t)
+    qbar = (1 - t) - q
     if args.exact_report:
         print(f"t_exact {t.numerator}/{t.denominator}")
     print(f"q_t {float(q):.12g}")
     print(f"q_bar_t {float(qbar):.12g}")
     print(f"k {len(part)}")
-    print(f"alpha {float(alpha):.12g}")
+    print(f"alpha {float(agg.alpha()):.12g}")
     return 0
 
 

@@ -17,6 +17,8 @@ re-compared exactly before anything is committed, so float rounding can
 never reorder or hide a tie.  Heap entries are lazily invalidated: each
 entry carries the pair's degrees at push time, and any later merge touching
 the pair changes a degree, so a stale entry can never match current state.
+The final certificate does not trust this bookkeeping: it is recomputed
+from the input graph and the returned partition.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import NamedTuple
 
 from .errors import IllegalStateError
 from .graph import Graph
+from .modularity import is_merge_stable
 from .partition import Partition
 from .rational import positive_fraction
 
@@ -61,10 +64,12 @@ class SweepEngine:
     Communities start as one per vertex and keep the smallest member id
     when merged.  ``adj`` holds cross weights between live communities
     (internal weight is tracked separately), so the state is its own
-    quotient graph; the input graph is not consulted after construction.
+    quotient graph.  The sweep never reads the input ``graph`` after
+    construction; only ``check_stable`` does, to certify the result.
     """
 
     def __init__(self, graph: Graph):
+        self.graph = graph
         n = graph.n
         self.n = n
         self.z = graph.z
@@ -306,29 +311,27 @@ class SweepEngine:
                 break
         return self.record_trace()
 
-    def check_stable(self, t) -> None:
-        """Raise unless every live pair ratio is at most t (exact)."""
-        tf = positive_fraction(t)
-        tn, td = tf.numerator, tf.denominator
-        z = self.z
-        deg = self.deg
-        for a, row in enumerate(self.adj):
-            if row is None or not deg[a]:
-                continue
-            da = deg[a]
-            for b, w in row.items():
-                if b > a and z * w * td > tn * da * deg[b]:
-                    raise IllegalStateError(f"pair ({a}, {b}) is not stable at t={tf}")
+    def check_stable(self, t) -> Partition:
+        """Certify the current partition on the input graph at resolution t.
+
+        Raises IllegalStateError naming a pair of blocks with positive
+        excess mass at t; otherwise returns the certified partition.
+        """
+        part = self.partition()
+        stable, witness = is_merge_stable(self.graph, part, t)
+        if not stable:
+            raise IllegalStateError(f"blocks {witness} are not merge-stable at t={t}")
+        return part
 
 
 def detect_communities(graph: Graph, t_min=1.0) -> tuple[Partition, list[TraceRecord]]:
     """Run the full resolution sweep down to ``t_min``.
 
     Returns the final partition, merge-stable at ``t_min`` (certified
-    exactly before returning), together with one trace record per
-    resolution reached, starting with the singleton partition.  When even
-    the singleton partition resolves below ``t_min`` it is returned
-    unchanged.
+    exactly on the input graph before returning), together with one trace
+    record per resolution reached, starting with the singleton partition.
+    When even the singleton partition resolves below ``t_min`` it is
+    returned unchanged.
     """
     tf = positive_fraction(t_min, "t_min")
     tn_min, td_min = tf.numerator, tf.denominator
@@ -339,5 +342,4 @@ def detect_communities(graph: Graph, t_min=1.0) -> tuple[Partition, list[TraceRe
         if tn * td_min < tn_min * td:
             break
         eng.resolution_sweep()
-    eng.check_stable(tf)
-    return eng.partition(), list(eng.trace)
+    return eng.check_stable(tf), list(eng.trace)

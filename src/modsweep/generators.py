@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, connected_components
-from .modularity import modularity
+from .measures import CommunityAggregates
 from .partition import Partition, refine_connected
 from .rational import positive_fraction
 
@@ -181,12 +181,9 @@ def tree_modularity_identity(graph: Graph, partition: Partition) -> tuple[Fracti
         raise ValueError("edge count does not match a tree")
     if refine_connected(graph, partition) != partition:
         raise ValueError("partition blocks must induce connected subgraphs")
-    k = len(partition)
-    z = graph.z
-    direct = modularity(graph, partition, Fraction(1))
-    bd = [0] * k
-    for v in range(graph.n):
-        bd[partition.assign[v]] += graph.deg[v]
-    spread = sum((Fraction(d, z) - Fraction(1, k)) ** 2 for d in bd)
+    agg = CommunityAggregates.from_partition(graph, partition)
+    k, z = agg.k, agg.z
+    direct = agg.score(1)
+    spread = sum((Fraction(d, z) - Fraction(1, k)) ** 2 for d in agg.block_degree)
     via_counts = 1 - Fraction(2 * (k - 1), z) - Fraction(1, k) - spread
     return direct, via_counts

@@ -15,7 +15,8 @@ import heapq
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedError, FormatError, IsolatedVertexError
-from .partition import Partition
+from .measures import CommunityAggregates
+from .partition import Partition, refine_connected
 
 
 class Graph:
@@ -68,9 +69,6 @@ class Graph:
                 adj[u][v] = adj[u].get(v, 0) + w
                 adj[v][u] = adj[v].get(u, 0) + w
         return cls(adj)
-
-    def weight(self, u: int, v: int) -> int:
-        return self.adj[u].get(v, 0)
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield each unordered pair once as (u, v, w) with u <= v.
@@ -151,35 +149,16 @@ def quotient(graph: Graph, partition: Partition) -> Graph:
     Preserves the total weight ``z`` and block degree sums; the diagonal of
     block ``C`` accumulates all internal ordered pairs.
     """
-    if len(partition.assign) != graph.n:
-        raise ValueError("partition does not cover this graph's vertex set")
-    assign = partition.assign
-    adj: list[dict[int, int]] = [dict() for _ in range(len(partition))]
-    for u, nbrs in enumerate(graph.adj):
-        row = adj[assign[u]]
-        for v, w in nbrs.items():
-            cv = assign[v]
-            row[cv] = row.get(cv, 0) + w
+    agg = CommunityAggregates.from_partition(graph, partition)
+    adj: list[dict[int, int]] = [{c: w} if w else {} for c, w in enumerate(agg.internal)]
+    for a, b, w in agg.pairs():
+        adj[a][b] = adj[b][a] = w
     return Graph(adj, validate=False)
 
 
 def connected_components(graph: Graph) -> Partition:
     """Partition the vertex set into connected components (loops ignored)."""
-    label = [-1] * graph.n
-    nxt = 0
-    for v0 in range(graph.n):
-        if label[v0] >= 0:
-            continue
-        label[v0] = nxt
-        stack = [v0]
-        while stack:
-            u = stack.pop()
-            for v in graph.adj[u]:
-                if label[v] < 0:
-                    label[v] = nxt
-                    stack.append(v)
-        nxt += 1
-    return Partition(label)
+    return refine_connected(graph, Partition([0] * graph.n))
 
 
 def min_cut(graph: Graph) -> int:

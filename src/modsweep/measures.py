@@ -21,7 +21,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class CommunityAggregates:
-    """Integer aggregates of a graph under a fixed partition."""
+    """Integer aggregates of a graph under a fixed partition.
+
+    ``from_partition`` is the one place block aggregates are summed; scores,
+    certificates, bounds and quotient graphs all read them from here.  The
+    brute-force oracles sum their own, so tests can compare against them.
+    """
 
     __slots__ = ("z", "k", "block_degree", "internal", "cross")
 
@@ -38,21 +43,21 @@ class CommunityAggregates:
         if len(partition.assign) != graph.n:
             raise ValueError("partition does not cover this graph's vertex set")
         assign = partition.assign
+        deg = graph.deg
         k = len(partition)
         block_degree = [0] * k
         internal = [0] * k
         cross: dict[tuple[int, int], int] = {}
-        for v in range(graph.n):
-            block_degree[assign[v]] += graph.deg[v]
-        for u, v, w in graph.edges():
-            cu, cv = assign[u], assign[v]
-            if u == v:
-                internal[cu] += w
-            elif cu == cv:
-                internal[cu] += 2 * w
-            else:
-                key = (cu, cv) if cu < cv else (cv, cu)
-                cross[key] = cross.get(key, 0) + w
+        for u, nbrs in enumerate(graph.adj):
+            cu = assign[u]
+            block_degree[cu] += deg[u]
+            for v, w in nbrs.items():
+                cv = assign[v]
+                if cv == cu:
+                    internal[cu] += w
+                elif u < v:
+                    key = (cu, cv) if cu < cv else (cv, cu)
+                    cross[key] = cross.get(key, 0) + w
         return cls(graph.z, block_degree, internal, cross)
 
     def _check(self, c: int) -> None:
@@ -91,6 +96,14 @@ class CommunityAggregates:
     def degree_fraction(self, c: int) -> Fraction:
         self._check(c)
         return Fraction(self.block_degree[c], self.z)
+
+    def alpha(self) -> Fraction:
+        """Null-model mass on the diagonal: sum(d(C)**2) / z**2."""
+        return Fraction(sum(d * d for d in self.block_degree), self.z * self.z)
+
+    def score(self, t=1) -> Fraction:
+        """Exact score at resolution t: sum(w(C))/z - t * sum(d(C)**2)/z**2."""
+        return Fraction(sum(self.internal), self.z) - positive_fraction(t) * self.alpha()
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Adjacent block pairs as (a, b, crossing weight), a < b, sorted."""

@@ -24,43 +24,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from .partition import Partition
 
 
-def _totals(graph: "Graph", partition: "Partition") -> tuple[int, int]:
-    """Integer internal-weight total and block degree-square sum."""
-    assign = partition.assign
-    k = len(partition)
-    bd = [0] * k
-    for v in range(graph.n):
-        bd[assign[v]] += graph.deg[v]
-    w_int = 0
-    for u, nbrs in enumerate(graph.adj):
-        cu = assign[u]
-        for v, w in nbrs.items():
-            if assign[v] == cu:
-                w_int += w
-    return w_int, sum(d * d for d in bd)
+def modularity(graph: "Graph", partition: "Partition", t=1) -> Fraction:
+    """Exact score of a partition at resolution t, always a Fraction.
 
-
-def modularity(graph: "Graph", partition: "Partition", t=1):
-    """Score of a partition at resolution t.
-
-    Returns a float when ``t`` is a float, otherwise an exact Fraction.
+    A float ``t`` is read as its decimal, so 0.7 means 7/10.
     """
-    w_int, deg_sq = _totals(graph, partition)
-    z = graph.z
-    if isinstance(t, float):
-        if t <= 0:
-            raise ValueError("resolution t must be positive")
-        return w_int / z - t * (deg_sq / (z * z))
-    tf = positive_fraction(t)
-    return Fraction(w_int, z) - tf * Fraction(deg_sq, z * z)
+    return CommunityAggregates.from_partition(graph, partition).score(t)
 
 
-def modularity_complement(graph: "Graph", partition: "Partition", t=1):
+def modularity_complement(graph: "Graph", partition: "Partition", t=1) -> Fraction:
     """Off-diagonal counterpart; always equals (1 - t) - modularity."""
-    q = modularity(graph, partition, t)
-    if isinstance(t, float):
-        return (1.0 - t) - q
-    return (1 - positive_fraction(t)) - q
+    tf = positive_fraction(t)
+    return (1 - tf) - modularity(graph, partition, tf)
 
 
 def resolution(graph: "Graph", partition: "Partition") -> Fraction:
@@ -88,20 +63,13 @@ def is_merge_stable(graph: "Graph", partition: "Partition", t=1,
     return True, None
 
 
-def merge_gain(aggregates: CommunityAggregates, a: int, b: int, t):
-    """Exact change in the score from merging two distinct blocks.
+def merge_gain(aggregates: CommunityAggregates, a: int, b: int, t) -> Fraction:
+    """Exact change in the score from merging two distinct blocks, a Fraction.
 
-    Float in, float out; otherwise an exact Fraction.
+    A float ``t`` is read as its decimal, so 0.7 means 7/10.
     """
     if a == b:
         raise ValueError("cannot merge a block with itself")
-    if isinstance(t, float):
-        if t <= 0:
-            raise ValueError("resolution t must be positive")
-        z = aggregates.z
-        da = aggregates.block_degree[a]
-        db = aggregates.block_degree[b]
-        return 2 * (aggregates.cross_weight(a, b) / z - t * (da * db) / (z * z))
     return 2 * aggregates.excess(a, b, t)
 
 
@@ -186,12 +154,10 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
     agg = CommunityAggregates.from_partition(graph, partition)
     z = agg.z
     k = agg.k
-    bd = agg.block_degree
     checks: list[CheckRow] = []
 
     diag_total = Fraction(sum(agg.internal), z)
-    sum_sq = Fraction(sum(d * d for d in bd), z * z)
-    q = diag_total - tf * sum_sq
+    q = agg.score(tf)
 
     # per-community rows, aggregated per inequality family
     def per_community(name, fn):
@@ -203,7 +169,7 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
         checks.append(CheckRow(name, bad is None,
                                note="" if bad is None else f"failed at community {bad}"))
 
-    m_v = [Fraction(d, z) for d in bd]
+    m_v = [Fraction(d, z) for d in agg.block_degree]
     m_e = [Fraction(w, z) for w in agg.internal]
     rho = [m_v[c] - m_e[c] for c in range(k)]
     mu = [m_e[c] - tf * m_v[c] ** 2 for c in range(k)]
@@ -222,7 +188,7 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
     else:
         checks.append(CheckRow("diag_lower_boundary_sq", None, note="needs t <= 1"))
 
-    upper_sum_sq = 1 - tf * sum(v * v for v in m_v)
+    upper_sum_sq = 1 - tf * agg.alpha()
     upper_fixed_k = 1 - tf / k
     checks.append(CheckRow("q_upper_sum_sq", q <= upper_sum_sq, float(q), float(upper_sum_sq)))
     checks.append(CheckRow("q_upper_fixed_k", q <= upper_fixed_k, float(q), float(upper_fixed_k)))

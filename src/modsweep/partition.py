@@ -76,22 +76,22 @@ def refine_connected(graph: "Graph", partition: Partition) -> Partition:
     The result refines the input, is internally connected, and never lowers
     the modularity score at any resolution.
     """
+    assign = partition.assign
     label = [-1] * graph.n
     nxt = 0
-    for block in partition.blocks:
-        inblk = set(block)
-        for v0 in block:
-            if label[v0] >= 0:
-                continue
-            label[v0] = nxt
-            stack = [v0]
-            while stack:
-                u = stack.pop()
-                for v in graph.adj[u]:
-                    if v in inblk and label[v] < 0:
-                        label[v] = nxt
-                        stack.append(v)
-            nxt += 1
+    for v0 in range(graph.n):
+        if label[v0] >= 0:
+            continue
+        c = assign[v0]
+        label[v0] = nxt
+        stack = [v0]
+        while stack:
+            u = stack.pop()
+            for v in graph.adj[u]:
+                if label[v] < 0 and assign[v] == c:
+                    label[v] = nxt
+                    stack.append(v)
+        nxt += 1
     return Partition(label)
 
 

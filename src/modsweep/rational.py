@@ -10,21 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def as_fraction(t) -> Fraction:
-    """Convert ``t`` to an exact Fraction.
-
-    Floats convert to their exact binary value, strings via the usual
-    Fraction grammar ("0.7" and "7/10" both give 7/10).
-    """
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, (int, float, str)):
-        return Fraction(t)
-    raise TypeError(f"cannot interpret {t!r} as an exact ratio")
-
-
 def positive_fraction(t, name: str = "t") -> Fraction:
-    f = as_fraction(t)
+    """Read ``t`` as an exact positive Fraction.
+
+    A float is read as its shortest decimal form, so 0.1 means 1/10, as
+    the CLI's "0.1" does; strings use the usual Fraction grammar ("0.7"
+    and "7/10" both give 7/10).
+    """
+    f = Fraction(str(t) if isinstance(t, float) else t)
     if f <= 0:
         raise ValueError(f"{name} must be positive, got {t!r}")
     return f

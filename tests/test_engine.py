@@ -246,6 +246,23 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect_communities(triangle, 0)
 
+    def test_float_t_min_means_its_decimal(self, karate):
+        """Karate reaches t = 13/5 exactly; the binary value of 2.6 lies just
+        above it, so only the decimal reading sweeps that resolution."""
+        g, _ = karate
+        for t, exact in ((0.7, Fraction(7, 10)), (2.6, Fraction(13, 5))):
+            part_f, trace_f = detect_communities(g, t)
+            part_q, trace_q = detect_communities(g, exact)
+            assert part_f == part_q
+            assert [r.t_exact for r in trace_f] == [r.t_exact for r in trace_q]
+
+    def test_certificate_reads_the_input_graph(self, karate, monkeypatch):
+        """A partition the engine's bookkeeping did not produce is caught."""
+        g, _ = karate
+        monkeypatch.setattr(SweepEngine, "partition", lambda self: Partition(range(self.n)))
+        with pytest.raises(IllegalStateError):
+            detect_communities(g, 1)
+
     def test_single_vertex_with_loop(self):
         g = Graph([{0: 2}])
         part, trace = detect_communities(g, 1)

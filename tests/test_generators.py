@@ -134,8 +134,8 @@ class TestCompleteBinaryTree:
 
     def test_breadth_first_labels(self):
         g = complete_binary_tree(3)
-        assert g.weight(0, 1) == g.weight(0, 2) == 1
-        assert g.weight(3, 1) == 1
+        assert g.adj[0][1] == g.adj[0][2] == 1
+        assert g.adj[3][1] == 1
         assert g.deg[0] == 2 and g.deg[1] == 3 and g.deg[14] == 1
 
     def test_rejects_bad_height(self):

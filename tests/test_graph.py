@@ -31,16 +31,16 @@ class TestLoadEdgeList:
 
     def test_weighted_edge_is_symmetric(self):
         g, labels = load_edge_list("a b 3")
-        assert g.weight(0, 1) == g.weight(1, 0) == 3
+        assert g.adj[0][1] == g.adj[1][0] == 3
         assert g.z == 6
 
     def test_duplicate_lines_accumulate(self):
         g, _ = load_edge_list("a b 2\nb a 3\n")
-        assert g.weight(0, 1) == 5
+        assert g.adj[0][1] == 5
 
     def test_self_loop_doubles_diagonal(self):
         g, _ = load_edge_list("a b\na a 2\n")
-        assert g.weight(0, 0) == 4
+        assert g.adj[0][0] == 4
         assert g.deg[0] == 5
         assert g.z == 6
 
@@ -118,15 +118,15 @@ class TestQuotient:
     def test_total_collapse(self, barbell):
         q = quotient(barbell, Partition([0] * 6))
         assert q.n == 1
-        assert q.weight(0, 0) == barbell.z
+        assert q.adj[0][0] == barbell.z
         assert q.z == barbell.z
 
     def test_barbell_two_blocks(self, barbell):
         q = quotient(barbell, Partition([0, 0, 0, 1, 1, 1]))
         assert q.n == 2
-        assert q.weight(0, 0) == 6
-        assert q.weight(1, 1) == 6
-        assert q.weight(0, 1) == q.weight(1, 0) == 1
+        assert q.adj[0][0] == 6
+        assert q.adj[1][1] == 6
+        assert q.adj[0][1] == q.adj[1][0] == 1
         assert q.z == 14
 
     def test_preserves_totals_random(self):
