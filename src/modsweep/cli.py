@@ -2,14 +2,13 @@
 
 Subcommands: detect, score, verify, gen, oracle, mincut.  Graph input is an
 edge-list file or '-' for stdin.  Exit codes: 0 success, 1 verification
-failure, 2 malformed input or invalid arguments.
+failure, 2 malformed input, invalid arguments, or values outside float range.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .engine import detect_communities, format_trace_csv
 from .generators import complete_binary_tree, daisy_graph, tree_core_partition
@@ -17,7 +16,8 @@ from .graph import Graph, format_edge_list, load_edge_list, min_cut
 from .modularity import bounds_report
 from .measures import CommunityAggregates
 from .oracle import best_partition
-from .partition import Partition, format_partition, parse_partition, refine_connected
+from .partition import format_partition, parse_partition, refine_connected
+from .rational import positive_fraction
 
 
 def _read_text(path: str) -> str:
@@ -39,19 +39,9 @@ def _read_graph(path: str) -> tuple[Graph, list[str]]:
     return load_edge_list(_read_text(path))
 
 
-def _parse_t(text: str, name: str = "t") -> Fraction:
-    try:
-        t = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{name} must be a number, got {text!r}") from None
-    if t <= 0:
-        raise ValueError(f"{name} must be positive, got {text}")
-    return t
-
-
 def _cmd_detect(args) -> int:
     graph, labels = _read_graph(args.graph)
-    t_min = _parse_t(args.t_min, "--t-min")
+    t_min = positive_fraction(args.t_min, "--t-min")
     part, trace = detect_communities(graph, t_min)
     if args.ensure_connected:
         part = refine_connected(graph, part)
@@ -80,7 +70,7 @@ def _cmd_detect(args) -> int:
 def _cmd_score(args) -> int:
     graph, labels = _read_graph(args.graph)
     part = parse_partition(_read_text(args.partition), labels)
-    t = _parse_t(args.t, "--t")
+    t = positive_fraction(args.t, "--t")
     agg = CommunityAggregates.from_partition(graph, part)
     q = agg.score(t)
     qbar = (1 - t) - q
@@ -96,7 +86,7 @@ def _cmd_score(args) -> int:
 def _cmd_verify(args) -> int:
     graph, labels = _read_graph(args.graph)
     part = parse_partition(_read_text(args.partition), labels)
-    t = _parse_t(args.t, "--t")
+    t = positive_fraction(args.t, "--t")
     report = bounds_report(graph, part, t)
     if args.exact_report:
         print(f"t_exact {t.numerator}/{t.denominator}")
@@ -120,7 +110,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle(args) -> int:
     graph, labels = _read_graph(args.graph)
-    t = _parse_t(args.t, "--t")
+    t = positive_fraction(args.t, "--t")
     result = best_partition(graph, t)
     print(f"best_q {result.best_q:.12g}")
     print(f"partitions_examined {result.partitions_examined}")
@@ -203,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

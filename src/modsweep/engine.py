@@ -62,10 +62,11 @@ class SweepEngine:
     """Mutable sweep state over community aggregates.
 
     Communities start as one per vertex and keep the smallest member id
-    when merged.  ``adj`` holds cross weights between live communities
-    (internal weight is tracked separately), so the state is its own
-    quotient graph.  The sweep never reads the input ``graph`` after
-    construction; only ``check_stable`` does, to certify the result.
+    when merged.  ``adj`` holds cross weights between live communities and
+    ``w_internal`` their total internal weight, so the state is its own
+    quotient graph with the diagonal summed.  The sweep never reads the
+    input ``graph`` after construction; only ``check_stable`` does, to
+    certify the result.
     """
 
     def __init__(self, graph: Graph):
@@ -74,15 +75,10 @@ class SweepEngine:
         self.n = n
         self.z = graph.z
         self.adj: list[dict[int, int] | None] = [dict(nbrs) for nbrs in graph.adj]
-        self.loop = [0] * n
         self.deg = list(graph.deg)
-        for v in range(n):
-            row = self.adj[v]
-            w = row.pop(v, 0)
-            self.loop[v] = w
+        self.w_internal = sum(row.pop(v, 0) for v, row in enumerate(self.adj))
         self.members: list[list[int] | None] = [[v] for v in range(n)]
         self.community_count = n
-        self.w_internal = sum(self.loop)
         self.deg_sq = sum(d * d for d in self.deg)
         self.merges = 0
         self.trace: list[TraceRecord] = []
@@ -236,8 +232,6 @@ class SweepEngine:
         row_b = adj[b]
         wab = row_a.pop(b)
         row_b.pop(a)
-        self.loop[a] += self.loop[b] + 2 * wab
-        self.loop[b] = 0
         self.w_internal += 2 * wab
         self.deg_sq += 2 * da * db
         for v, w in row_b.items():
@@ -334,12 +328,8 @@ def detect_communities(graph: Graph, t_min=1.0) -> tuple[Partition, list[TraceRe
     returned unchanged.
     """
     tf = positive_fraction(t_min, "t_min")
-    tn_min, td_min = tf.numerator, tf.denominator
     eng = SweepEngine(graph)
     eng.record_trace()
-    while True:
-        tn, td = eng._refill()
-        if tn * td_min < tn_min * td:
-            break
+    while eng.resolution() >= tf:
         eng.resolution_sweep()
     return eng.check_stable(tf), list(eng.trace)

@@ -36,7 +36,7 @@ def daisy_graph(r: int) -> Graph:
         adj[hub + 1] = {hub: 1}
         adj[hub + 2] = {hub: 1}
     adj[0] = center
-    return Graph(adj, validate=False)
+    return Graph(adj)
 
 
 def daisy_reference_modularity(r: int) -> float:
@@ -77,7 +77,7 @@ def complete_binary_tree(height: int) -> Graph:
         adj[i] = {(i - 1) >> 1: 1, 2 * i + 1: 1, 2 * i + 2: 1}
     for i in range(first_leaf, n):
         adj[i] = {(i - 1) >> 1: 1}
-    return Graph(adj, validate=False)
+    return Graph(adj)
 
 
 @dataclass(frozen=True)

@@ -24,20 +24,21 @@ class Graph:
 
     ``adj[u]`` maps each neighbour ``v`` (possibly ``u`` itself) to the
     integer weight ``m(u, v)``.  Construction computes weighted degrees and
-    the ordered-pair total ``z``; treat instances as read-only afterwards.
+    the ordered-pair total ``z`` and validates every graph: weights are
+    positive integers, symmetric and in range, and no vertex is isolated.
+    Treat instances as read-only afterwards.
     """
 
     __slots__ = ("n", "adj", "deg", "z")
 
-    def __init__(self, adj: list[dict[int, int]], validate: bool = True):
+    def __init__(self, adj: list[dict[int, int]]):
         if not adj:
             raise ValueError("a graph needs at least one vertex")
         self.n = len(adj)
         self.adj = adj
         self.deg = [sum(nbrs.values()) for nbrs in adj]
         self.z = sum(self.deg)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         for u, nbrs in enumerate(self.adj):
@@ -153,7 +154,7 @@ def quotient(graph: Graph, partition: Partition) -> Graph:
     adj: list[dict[int, int]] = [{c: w} if w else {} for c, w in enumerate(agg.internal)]
     for a, b, w in agg.pairs():
         adj[a][b] = adj[b][a] = w
-    return Graph(adj, validate=False)
+    return Graph(adj)
 
 
 def connected_components(graph: Graph) -> Partition:

@@ -169,10 +169,10 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
         checks.append(CheckRow(name, bad is None,
                                note="" if bad is None else f"failed at community {bad}"))
 
-    m_v = [Fraction(d, z) for d in agg.block_degree]
-    m_e = [Fraction(w, z) for w in agg.internal]
-    rho = [m_v[c] - m_e[c] for c in range(k)]
-    mu = [m_e[c] - tf * m_v[c] ** 2 for c in range(k)]
+    m_v = [agg.degree_fraction(c) for c in range(k)]
+    m_e = [agg.edge_fraction(c, c) for c in range(k)]
+    rho = [agg.boundary_fraction(c) for c in range(k)]
+    mu = [agg.excess(c, c, tf) for c in range(k)]
 
     per_community("degree_split_identity",
                   lambda c: m_v[c] == m_e[c] + rho[c] and m_e[c] + 2 * rho[c] <= 1)

@@ -2,13 +2,15 @@
 
 Set partitions are enumerated as restricted-growth strings, which lists
 every partition exactly once in a canonical order.  These enumerations are
-test and CLI tooling only; the sweep engine never calls them.
+test and CLI tooling only; the sweep engine never calls them.  Every
+decision compares exact integers, so ties are decided exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
+from typing import Callable, Iterator
 
 from .errors import SizeLimitError
 from .graph import Graph
@@ -47,53 +49,17 @@ class OracleResult:
     partitions_examined: int
 
 
-def best_partition(graph: Graph, t) -> OracleResult:
-    """Exhaustive optimum of the score at resolution t.
+def _block_scorer(graph: Graph, partition: Partition, tf: Fraction
+                  ) -> Callable[[list[int]], int]:
+    """Exact scorer of the coarsenings of ``partition`` at resolution ``tf``.
 
-    Ties keep the first maximizer in enumeration order.  Refuses vertex
-    counts above MAX_EXHAUSTIVE.
+    Sums the blocks once, independently of CommunityAggregates.
+    ``score(rgs)`` groups block ``c`` into ``rgs[c]`` and returns the integer
+    ``td * z * W - tn * S``, which is the score times ``td * z**2``.
     """
-    n = graph.n
-    if n > MAX_EXHAUSTIVE:
-        raise SizeLimitError(f"exhaustive search limited to {MAX_EXHAUSTIVE} vertices")
-    tt = float(positive_fraction(t))
-    z = graph.z
-    zz = z * z
-    deg = graph.deg
-    cross = [(u, v, w) for u, v, w in graph.edges() if u != v]
-    diag_total = sum(graph.adj[v].get(v, 0) for v in range(n))
-    best_q = None
-    best_a = None
-    count = 0
-    for a in set_partitions(n):
-        count += 1
-        w_int = diag_total
-        for u, v, w in cross:
-            if a[u] == a[v]:
-                w_int += 2 * w
-        sums = [0] * (max(a) + 1)
-        for v in range(n):
-            sums[a[v]] += deg[v]
-        deg_sq = sum(s * s for s in sums)
-        q = w_int / z - tt * (deg_sq / zz)
-        if best_q is None or q > best_q:
-            best_q = q
-            best_a = a
-    return OracleResult(best_q, Partition(best_a), count)
-
-
-def is_coarsening_optimal(graph: Graph, partition: Partition, t) -> bool:
-    """Check, by enumeration, that no coarsening scores higher at t.
-
-    Compares integer-scaled scores, so the verdict is exact.  Refuses
-    partitions with more than MAX_EXHAUSTIVE blocks.
-    """
-    k = len(partition)
-    if k > MAX_EXHAUSTIVE:
-        raise SizeLimitError(f"exhaustive search limited to {MAX_EXHAUSTIVE} blocks")
-    tf = positive_fraction(t)
     tn, td = tf.numerator, tf.denominator
     z = graph.z
+    k = len(partition)
     assign = partition.assign
     block_deg = [0] * k
     for v in range(graph.n):
@@ -109,8 +75,7 @@ def is_coarsening_optimal(graph: Graph, partition: Partition, t) -> bool:
             cross[key] = cross.get(key, 0) + w
     cross_items = list(cross.items())
 
-    def scaled_score(rgs: list[int]) -> int:
-        # td * z * W - tn * S, an integer proportional to the score
+    def score(rgs: list[int]) -> int:
         w_int = intra
         for (a, b), w in cross_items:
             if rgs[a] == rgs[b]:
@@ -120,8 +85,35 @@ def is_coarsening_optimal(graph: Graph, partition: Partition, t) -> bool:
             sums[rgs[c]] += block_deg[c]
         return td * z * w_int - tn * sum(s * s for s in sums)
 
-    base = scaled_score(list(range(k)))
-    for rgs in set_partitions(k):
-        if scaled_score(rgs) > base:
-            return False
-    return True
+    return score
+
+
+def best_partition(graph: Graph, t) -> OracleResult:
+    """Exhaustive optimum of the score at resolution t.
+
+    Scores are exact integers, so ties are decided exactly: the first
+    maximizer in enumeration order wins.  Refuses vertex counts above
+    MAX_EXHAUSTIVE.
+    """
+    n = graph.n
+    if n > MAX_EXHAUSTIVE:
+        raise SizeLimitError(f"exhaustive search limited to {MAX_EXHAUSTIVE} vertices")
+    tf = positive_fraction(t)
+    score = _block_scorer(graph, Partition(range(n)), tf)
+    best = max(set_partitions(n), key=score)  # max keeps the first maximizer
+    best_q = float(Fraction(score(best), tf.denominator * graph.z * graph.z))
+    return OracleResult(best_q, Partition(best), BELL[n])
+
+
+def is_coarsening_optimal(graph: Graph, partition: Partition, t) -> bool:
+    """Check, by enumeration, that no coarsening scores higher at t.
+
+    Compares integer-scaled scores, so the verdict is exact.  Refuses
+    partitions with more than MAX_EXHAUSTIVE blocks.
+    """
+    k = len(partition)
+    if k > MAX_EXHAUSTIVE:
+        raise SizeLimitError(f"exhaustive search limited to {MAX_EXHAUSTIVE} blocks")
+    score = _block_scorer(graph, partition, positive_fraction(t))
+    base = score(list(range(k)))
+    return all(score(rgs) <= base for rgs in set_partitions(k))

@@ -50,9 +50,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({len(self.assign)} vertices, {len(self.blocks)} blocks)"
 
-    def block_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(b) for b in self.blocks)
-
 
 def singleton_partition(graph: "Graph") -> Partition:
     """One block per vertex."""

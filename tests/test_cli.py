@@ -199,6 +199,22 @@ class TestErrors:
         code, _, err = run_cli(capsys, "score", barbell_file, str(part), "--t", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("detect", "{graph}", "--t-min", "1e400"),
+        ("score", "{graph}", "{part}", "--t", "1e400"),
+        ("verify", "{graph}", "{part}", "--t", "1e400"),
+        ("detect", "{huge}"),
+    ])
+    def test_values_outside_float_range(self, capsys, tmp_path, barbell_file, argv):
+        part = tmp_path / "p.txt"
+        part.write_text("".join(f"{v} 0\n" for v in "abcdef"))
+        huge = tmp_path / "huge.edges"
+        huge.write_text(f"a b {10 ** 400}\nc d 1\n")
+        paths = {"graph": barbell_file, "part": str(part), "huge": str(huge)}
+        code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_mincut_disconnected(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
         path.write_text("a b\nc d\n")

@@ -11,6 +11,7 @@ from modsweep import (
     best_partition,
     bounds_report,
     compose,
+    detect_communities,
     is_coarsening_optimal,
     is_merge_stable,
     merge_gain,
@@ -57,6 +58,38 @@ class TestModularity:
             modularity(triangle, p, 0.0)
         with pytest.raises(ValueError):
             modularity(triangle, p, Fraction(-1))
+
+
+class TestNetworkxCrossCheck:
+    """Optional: networkx's modularity under the same loop convention (a
+    loop line of weight w is one networkx self-loop of weight w)."""
+
+    @staticmethod
+    def nx_modularity(nx, g, part, t):
+        G = nx.Graph()
+        G.add_weighted_edges_from((u, v, w // 2 if u == v else w) for u, v, w in g.edges())
+        return nx.community.modularity(G, [set(b) for b in part.blocks], resolution=t)
+
+    @pytest.mark.parametrize("t", [Fraction(1), Fraction(3, 2)])
+    def test_karate(self, karate, t):
+        nx = pytest.importorskip("networkx")
+        g, _ = karate
+        rng = random.Random(29)
+        parts = [detect_communities(g, t)[0], singleton_partition(g)]
+        parts += [random_partition(rng, g.n) for _ in range(5)]
+        for p in parts:
+            assert float(modularity(g, p, t)) == pytest.approx(
+                self.nx_modularity(nx, g, p, float(t)), abs=1e-12)
+
+    def test_random_weighted_graphs_with_loops(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(2, 12), max_w=9)
+            p = random_partition(rng, g.n)
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            assert float(modularity(g, p, t)) == pytest.approx(
+                self.nx_modularity(nx, g, p, float(t)), abs=1e-12)
 
 
 class TestComplement:

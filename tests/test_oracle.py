@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from modsweep import (
+    Graph,
     Partition,
     SizeLimitError,
     best_partition,
@@ -77,6 +78,22 @@ class TestBestPartition:
             res = best_partition(g, t)
             ok, _ = is_merge_stable(g, res.best_partition, t)
             assert ok
+
+    def test_exact_tie_keeps_first_maximizer(self):
+        """[0,0,0,1] and [0,1,0,0] both score exactly -73/260; a float
+        comparison picks the later one."""
+        g = Graph.from_edge_list([(0, 2, 7), (1, 2, 1), (2, 3, 5)])
+        res = best_partition(g, Fraction(13, 10))
+        assert res.best_partition == Partition([0, 0, 0, 1])
+        assert res.best_q == float(Fraction(-73, 260))
+
+    def test_first_exact_maximizer_of_modularity(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 7))
+            t = rng.choice((Fraction(7, 10), Fraction(1), Fraction(13, 10)))
+            best = max(set_partitions(g.n), key=lambda a: modularity(g, Partition(a), t))
+            assert best_partition(g, t).best_partition == Partition(best)
 
     def test_size_limit(self):
         g = random_graph(random.Random(7), 13)
