@@ -11,20 +11,55 @@ which point the partition is merge-stable (no coarsening scores higher) at
 every resolution down to ``t_min``.
 
 Exactness: all control flow compares integer ratios by cross multiplication.
-The candidate heap is ordered by the correctly rounded float image of each
-exact ratio, which is monotone, and the whole top group of equal floats is
-re-compared exactly before anything is committed, so float rounding can
-never reorder or hide a tie.  Heap entries are lazily invalidated: each
-entry carries the pair's degrees at push time, and any later merge touching
-the pair changes a degree, so a stale entry can never match current state.
-The final certificate does not trust this bookkeeping: it is recomputed
-from the input graph and the returned partition.
+Floats serve only as heap keys, each the correctly rounded image of an exact
+ratio, and every float key saturates at ``sys.float_info.max`` instead of
+overflowing; both keep it monotone.  Where equal float keys meet in the
+global heap, the group is re-compared exactly before anything is committed,
+so neither rounding nor saturation can reorder or hide a tie.  Inside a row
+a key is the float only where that provably orders the ratio exactly, and
+the exact fraction otherwise (``_row_key``).  ``TraceRecord.t`` is a plain
+float, so ``record_trace`` (and hence ``detect_communities``) still raises
+``OverflowError`` once a resolution exceeds the float range.
+
+Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
+Each pair is stored once, in the candidate row of its owner, the endpoint
+of higher degree (equal degrees go to the higher slot), keyed by
+``w / d_low``.  Degrees only grow, so an owner stays the owner when it
+grows, and its row keeps its order: every ratio in it scales by the same
+factor.  So a community that absorbs many others one at a time never
+re-keys its own row.  Only the pairs where the grown community is the low
+endpoint need a new key, and there are at most ``z / d`` of them, since
+each of their owners has degree at least ``d``; a pair whose owner changes
+moves into the grown community's row then.
+
+Two levels: a row is a heap ordered by row key, then partner id.  Within a
+row the partner order is the lexicographic order of the pairs, so the front
+is the row's lexicographically smallest pair at its exact maximum ratio.  A
+global heap holds one entry per row for its front at the full ratio; the
+zero bucket holds, ordered by that pair, the rows whose front ratio equals
+the current resolution.  The bucket front is thus the lexicographically
+smallest zero pair overall.
+
+Slots: internal arrays are indexed by slot.  A merge keeps the slot of the
+endpoint whose adjacency row is larger and moves only the smaller row into
+it.  The merged community's public id, which every argument and result
+uses, stays its smallest member id.
+
+Entries are invalidated lazily.  A candidate carries the low endpoint's
+degree it was keyed with, which changes with any merge of that endpoint.
+When a pair's weight grows, its new candidate has the larger key and sits
+in front of the old one, and both lapse together.  A row's entries in the
+global heap and the bucket carry a stamp that each republication of the
+row bumps.  The final certificate does not trust this bookkeeping: it is
+recomputed from the input graph and the returned partition.
 """
 
 from __future__ import annotations
 
-import heapq
+import sys
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import NamedTuple
 
 from .errors import IllegalStateError
@@ -32,6 +67,35 @@ from .graph import Graph
 from .modularity import is_merge_stable
 from .partition import Partition
 from .rational import positive_fraction
+
+_FLOAT_MAX = sys.float_info.max
+# bound on p * z for a row key w/d, with p its reduced numerator, below which
+# the key is a float
+_SAFE = (1 << 50) - 1
+
+
+def _key(num: int, den: int) -> float:
+    """``num / den`` correctly rounded, saturated at the largest finite float."""
+    try:
+        return num / den
+    except OverflowError:
+        return _FLOAT_MAX
+
+
+def _row_key(w: int, d: int, safe: int) -> float | Fraction:
+    """Heap key that orders row ratios w/d exactly, largest first.
+
+    ``safe`` is ``_SAFE // z``.  With p the reduced numerator, p <= safe means
+    p * z < 2**50.  Any other ratio w'/d' with d' <= z then differs from w/d
+    by at least (w/d) / (p * z) > 2**-50 * w/d, more than two units in the
+    last place of the float, so the float orders w/d exactly against other
+    floats and fractions alike (Python compares the two exactly).  Beyond
+    that bound the key is the exact fraction.  Equal ratios share a reduced
+    form and hence a key, so exact ties fall to the partner id.
+    """
+    if w <= safe or w // gcd(w, d) <= safe:
+        return -(w / d)
+    return -Fraction(w, d)
 
 
 class TraceRecord(NamedTuple):
@@ -61,90 +125,130 @@ def format_trace_csv(trace: list[TraceRecord]) -> str:
 class SweepEngine:
     """Mutable sweep state over community aggregates.
 
-    Communities start as one per vertex and keep the smallest member id
-    when merged.  ``adj`` holds cross weights between live communities and
-    ``w_internal`` their total internal weight, so the state is its own
-    quotient graph with the diagonal summed.  The sweep never reads the
-    input ``graph`` after construction; only ``check_stable`` does, to
-    certify the result.
+    Communities start as one per vertex.  ``deg``, ``zero_pairs``,
+    ``merge_step`` and ``partition`` speak in public ids, the smallest
+    member id of each community; ``deg`` is 0 for an id merged away.
+    Internally a community lives in a slot, whose public id is
+    ``_pid[slot]``.  ``_adj[slot]`` holds its cross weights to the other
+    live slots and ``w_internal`` the total internal weight, so the state
+    is its own quotient graph with the diagonal summed.  ``_rows[slot]`` is
+    its candidate row, a heap of ``(row key, partner id, partner slot,
+    d_low)`` (see the module docstring).  ``_up[slot]`` lists the slots
+    that own its other pairs; it is built the first time the slot keeps its
+    place in a merge.  The sweep never reads the input ``graph`` after
+    construction; only ``check_stable`` does, to certify the result.
+
+    Counters, all plain ints: ``merges``; ``heap_pushes``, the entries
+    pushed one at a time into the candidate rows, the global heap and the
+    zero bucket; ``stale_pops``, the invalidated entries popped; and
+    ``max_rewired``, the most adjacency entries moved in one merge.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         n = graph.n
         self.n = n
-        self.z = graph.z
-        self.adj: list[dict[int, int] | None] = [dict(nbrs) for nbrs in graph.adj]
-        self.deg = list(graph.deg)
-        self.w_internal = sum(row.pop(v, 0) for v, row in enumerate(self.adj))
-        self.members: list[list[int] | None] = [[v] for v in range(n)]
-        self.community_count = n
-        self.deg_sq = sum(d * d for d in self.deg)
+        z = self.z = graph.z
+        adj: list[dict[int, int] | None] = [dict(nbrs) for nbrs in graph.adj]
+        self._adj = adj
+        self.w_internal = sum(row.pop(v, 0) for v, row in enumerate(adj))
+        deg = self.deg = list(graph.deg)
+        ids = list(range(n))
+        self._pid = ids
+        # members as circular lists: a merge splices two cycles in O(1)
+        self._next = ids[:]
+        self.deg_sq = sum(d * d for d in deg)
         self.merges = 0
+        self.heap_pushes = 0
+        self.stale_pops = 0
+        self.max_rewired = 0
         self.trace: list[TraceRecord] = []
-        # candidate heap entries: (-float_key, a, b, w, deg[a], deg[b]) with a < b
+        safe = self._safe = _SAFE // z
+        rows: list[list | None] = [None] * n
         heap = []
-        z = self.z
+        owned = []
         for u in range(n):
-            du = self.deg[u]
-            row = self.adj[u]
-            for v, w in row.items():
-                if v > u:
-                    heap.append((-((z * w) / (du * self.deg[v])), u, v, w, du, self.deg[v]))
-        heapq.heapify(heap)
+            du = deg[u]
+            for v, w in adj[u].items():
+                dv = deg[v]
+                if dv < du or (dv == du and v < u):
+                    owned.append((_row_key(w, dv, safe), v, v, dv))
+            if owned:
+                # a copy is allocated at its exact size
+                row = rows[u] = owned[:]
+                owned.clear()
+                heapify(row)
+                _, _, v, d = row[0]
+                w = adj[u][v]
+                heap.append((-_key(z * w, d * du), u, 0))
+        heapify(heap)
+        self._rows = rows
+        self._up: list[list[int] | None] = [None] * n
+        self._stamp = [0] * n
         self._heap = heap
-        # zero-gain pairs at the current resolution, ordered by (a, b)
-        self._bucket: list[tuple[int, int, int, int, int]] = []
+        # rows whose best ratio is the current resolution: (a, b, slot, stamp)
+        self._bucket: list[tuple[int, int, int, int]] = []
         self._t_num = 0
         self._t_den = 1
 
     # -- resolution bookkeeping -------------------------------------------
 
-    def _valid(self, a: int, b: int, da: int, db: int) -> bool:
-        return self.deg[a] == da and self.deg[b] == db
-
     def _refill(self) -> tuple[int, int]:
         """Return the current resolution as an integer pair.
 
-        Ensures the bucket fronts a valid zero-gain pair whenever the
-        resolution is positive.  Returns (0, 1) when no distinct pair
+        Ensures the bucket fronts a row with a valid zero-gain pair whenever
+        the resolution is positive.  Returns (0, 1) when no distinct pair
         carries edge mass.
         """
+        stamps = self._stamp
         bucket = self._bucket
         while bucket:
-            a, b, w, da, db = bucket[0]
-            if self._valid(a, b, da, db):
+            e = bucket[0]
+            if stamps[e[2]] == e[3]:
                 return self._t_num, self._t_den
-            heapq.heappop(bucket)
+            heappop(bucket)
+            self.stale_pops += 1
         heap = self._heap
-        while heap:
-            _, a, b, w, da, db = heap[0]
-            if self._valid(a, b, da, db):
-                break
-            heapq.heappop(heap)
+        while heap and stamps[heap[0][1]] != heap[0][2]:
+            heappop(heap)
+            self.stale_pops += 1
         if not heap:
             self._t_num, self._t_den = 0, 1
             return 0, 1
-        top = heap[0][0]
-        group = []
-        while heap and heap[0][0] == top:
-            e = heapq.heappop(heap)
-            if self._valid(e[1], e[2], e[4], e[5]):
-                group.append(e)
+        key = heap[0][0]
         z = self.z
+        deg = self.deg
+        pid = self._pid
+        rows = self._rows
+        # the group of equal keys, re-compared exactly: bucket entries for the
+        # rows at the best ratio so far, and the entries below it
         best_num, best_den = 0, 1
-        for e in group:
-            num = z * e[3]
-            den = e[4] * e[5]
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
         fresh = []
-        for e in group:
-            if z * e[3] * best_den == best_num * e[4] * e[5]:
-                fresh.append((e[1], e[2], e[3], e[4], e[5]))
-            else:
-                heapq.heappush(heap, e)
-        heapq.heapify(fresh)
+        lower = []
+        while heap and heap[0][0] == key:
+            e = heappop(heap)
+            o = e[1]
+            if stamps[o] != e[2]:
+                self.stale_pops += 1
+                continue
+            _, p, s, d = rows[o][0]
+            w = self._adj[o][s]
+            po = pid[o]
+            num = z * w
+            den = d * deg[po]
+            gap = num * best_den - best_num * den
+            if gap < 0:
+                lower.append(e)
+                continue
+            if gap > 0:
+                lower += [(key, slot, stamp) for _, _, slot, stamp in fresh]
+                fresh = []
+                best_num, best_den = num, den
+            fresh.append((po, p, o, e[2]) if po < p else (p, po, o, e[2]))
+        for e in lower:
+            heappush(heap, e)
+        self.heap_pushes += len(lower)
+        heapify(fresh)
         self._bucket = fresh
         self._t_num, self._t_den = best_num, best_den
         return best_num, best_den
@@ -169,18 +273,25 @@ class SweepEngine:
             return []
         z = self.z
         deg = self.deg
+        pid = self._pid
         out = []
-        for a, row in enumerate(self.adj):
-            if row is None or not deg[a]:
+        for s, row in enumerate(self._adj):
+            if row is None:
                 continue
+            a = pid[s]
             da = deg[a]
-            for b, w in row.items():
+            for v, w in row.items():
+                b = pid[v]
                 if b > a and z * w * td == tn * da * deg[b]:
                     out.append((a, b))
         out.sort()
         return out
 
     # -- aggregate queries --------------------------------------------------
+
+    @property
+    def community_count(self) -> int:
+        return self.n - self.merges
 
     def alpha(self) -> Fraction:
         """Null-model mass concentrated on the diagonal."""
@@ -194,11 +305,16 @@ class SweepEngine:
 
     def partition(self) -> Partition:
         raw = [0] * self.n
-        for c, mem in enumerate(self.members):
-            if mem is None:
+        nxt = self._next
+        for c, d in enumerate(self.deg):
+            if not d:
                 continue
-            for v in mem:
+            v = c
+            while True:
                 raw[v] = c
+                v = nxt[v]
+                if v == c:
+                    break
         return Partition(raw)
 
     def record_trace(self) -> TraceRecord:
@@ -217,63 +333,158 @@ class SweepEngine:
 
     # -- merging --------------------------------------------------------------
 
-    def _merge(self, a: int, b: int) -> None:
-        """Merge community b into a (a < b), updating aggregates and heap.
+    def _merge(self, a: int, b: int, o: int) -> None:
+        """Merge community b into a (public ids, a < b, the front of slot o's
+        row), updating aggregates and rows.
 
-        Caller guarantees the pair has zero gain at the current resolution;
-        refreshed candidate entries route back into the zero bucket when
-        their ratio still equals it.
+        Caller guarantees the pair has zero gain at the current resolution.
+        The smaller adjacency row moves into the larger one; besides those
+        entries, only the pairs where the larger side was the low endpoint
+        get new keys.  Then the grown owner's row, whose ratios all changed,
+        and each row whose best pair changed re-enter their best pair: in
+        the zero bucket when its ratio still equals the resolution, else in
+        the global heap.
         """
-        adj = self.adj
+        adj = self._adj
         deg = self.deg
-        z = self.z
-        da, db = deg[a], deg[b]
-        row_a = adj[a]
-        row_b = adj[b]
-        wab = row_a.pop(b)
-        row_b.pop(a)
+        pid = self._pid
+        up = self._up
+        rows = self._rows
+        stamps = self._stamp
+        safe = self._safe
+        # the pair leaves its row; its partner slot is the other community
+        sp = heappop(rows[o])[2]
+        if pid[o] == a:
+            sa, sb = o, sp
+        else:
+            sa, sb = sp, o
+        da = deg[a]
+        db = deg[b]
+        row_a = adj[sa]
+        row_b = adj[sb]
+        wab = row_a.pop(sb)
+        del row_b[sa]
+        if len(row_b) > len(row_a):
+            big, small, dbig, row_l, row_s = sb, sa, db, row_b, row_a
+            pid[sb] = a
+        else:
+            big, small, dbig, row_l, row_s = sa, sb, da, row_a, row_b
+        owners = up[big]
+        if owners is None:
+            owners = up[big] = []
+            for v in row_l:
+                dv = deg[pid[v]]
+                if dv > dbig or (dv == dbig and v > big):
+                    owners.append(v)
         self.w_internal += 2 * wab
         self.deg_sq += 2 * da * db
-        for v, w in row_b.items():
-            row_v = adj[v]
-            del row_v[b]
-            nw = row_a.get(v, 0) + w
-            row_a[v] = nw
-            row_v[a] = nw
-        adj[b] = None
-        deg[a] = da + db
+        dc = deg[a] = da + db
         deg[b] = 0
-        ma, mb = self.members[a], self.members[b]
-        if len(mb) > len(ma):
-            ma, mb = mb, ma
-        ma.extend(mb)
-        self.members[a] = ma
-        self.members[b] = None
-        self.community_count -= 1
+        nxt = self._next
+        nxt[a], nxt[b] = nxt[b], nxt[a]
+        if rows[small]:
+            stamps[small] += 1  # retires the smaller side's published entries
+        adj[small] = rows[small] = up[small] = None
         self.merges += 1
-        tn, td = self._t_num, self._t_den
-        dnew = deg[a]
+        pushes = len(row_s)
+        if pushes > self.max_rewired:
+            self.max_rewired = pushes
+        row_c = rows[big]
+        if row_c is None:
+            row_c = rows[big] = []
+        # rows to republish; a neighbour's row is among them when its best
+        # pair (valid before the merge) involved a or b, or a new candidate
+        # went in front of it
+        changed = [big]
+        # pairs where the larger side was the low endpoint: a new key in the
+        # owner's row, or a move into c's row once c outranks the owner; the
+        # owner list keeps the slots still owning a pair with c
+        kept = 0
+        for v in owners:
+            if v in row_s:
+                continue
+            w = row_l.get(v)
+            if w is None:  # v was merged away
+                continue
+            pv = pid[v]
+            dv = deg[pv]
+            if dv < dbig or (dv == dbig and v < big):  # the larger side owns it
+                continue
+            cand = rows[v]
+            f = cand[0]
+            if dv < dc or (dv == dc and v < big):
+                heappush(row_c, (_row_key(w, dv, safe), pv, v, dv))
+                if up[v] is not None:
+                    up[v].append(big)
+                if f[1] == a or f[1] == b:
+                    changed.append(v)
+            else:
+                heappush(cand, (_row_key(w, dc, safe), a, big, dc))
+                owners[kept] = v
+                kept += 1
+                if f[1] == a or f[1] == b or cand[0] is not f:
+                    changed.append(v)
+            pushes += 1
+        del owners[kept:]
+        # the smaller side's pairs: weights add into the larger row, and each
+        # pair is filed under its owner with c
+        for v, w in row_s.items():
+            row_v = adj[v]
+            del row_v[small]
+            old = row_l.get(v)
+            nw = w if old is None else old + w
+            row_l[v] = nw
+            row_v[big] = nw
+            pv = pid[v]
+            dv = deg[pv]
+            cand = rows[v]
+            f = cand[0] if cand else None
+            if dv < dc or (dv == dc and v < big):
+                heappush(row_c, (_row_key(nw, dv, safe), pv, v, dv))
+                if old is None or dv > dbig or (dv == dbig and v > big):
+                    if up[v] is not None:
+                        up[v].append(big)
+                if f is not None and (f[1] == a or f[1] == b):
+                    changed.append(v)
+            else:
+                heappush(cand, (_row_key(nw, dc, safe), a, big, dc))
+                owners.append(v)
+                if f[1] == a or f[1] == b or cand[0] is not f:
+                    changed.append(v)
+        z = self.z
+        tn = self._t_num
+        td = self._t_den
         heap = self._heap
         bucket = self._bucket
-        for v, w in row_a.items():
-            dv = deg[v]
-            num = z * w
-            den = dnew * dv
-            lhs = num * td
-            rhs = tn * den
-            if lhs == rhs:
-                if a < v:
-                    heapq.heappush(bucket, (a, v, w, dnew, dv))
-                else:
-                    heapq.heappush(bucket, (v, a, w, dv, dnew))
+        stale = 0
+        for o in changed:
+            row = rows[o]
+            while row:
+                e = row[0]
+                if deg[e[1]] == e[3]:
+                    break
+                heappop(row)
+                stale += 1
             else:
-                if lhs > rhs:
-                    raise IllegalStateError("pair ratio exceeded the current resolution")
-                key = -(num / den)
-                if a < v:
-                    heapq.heappush(heap, (key, a, v, w, dnew, dv))
-                else:
-                    heapq.heappush(heap, (key, v, a, w, dv, dnew))
+                stamps[o] += 1
+                continue
+            stamps[o] = stamp = stamps[o] + 1
+            po = pid[o]
+            w = adj[o][e[2]]
+            num = z * w
+            den = e[3] * deg[po]
+            gap = num * td - tn * den
+            pushes += 1
+            if gap < 0:
+                heappush(heap, (-_key(num, den), o, stamp))
+            elif gap == 0:
+                p = e[1]
+                heappush(bucket, (po, p, o, stamp) if po < p else (p, po, o, stamp))
+            else:
+                raise IllegalStateError("pair ratio exceeded the current resolution")
+        self.heap_pushes += pushes
+        if stale:
+            self.stale_pops += stale
 
     def merge_step(self) -> tuple[int, int]:
         """Merge the lexicographically smallest zero-gain pair.
@@ -285,8 +496,8 @@ class SweepEngine:
         tn, _ = self._refill()
         if tn == 0:
             raise IllegalStateError("resolution is zero, there is nothing to merge")
-        a, b, _, _, _ = heapq.heappop(self._bucket)
-        self._merge(a, b)
+        a, b, o, _ = heappop(self._bucket)
+        self._merge(a, b, o)
         return a, b
 
     def resolution_sweep(self) -> TraceRecord:
@@ -295,14 +506,20 @@ class SweepEngine:
         Appends and returns one trace record for the newly reached
         resolution.
         """
-        tn, td = self._refill()
+        tn, _ = self._refill()
         if tn == 0:
             raise IllegalStateError("resolution is zero, there is nothing to sweep")
-        while True:
-            a, b, _, _, _ = heapq.heappop(self._bucket)
-            self._merge(a, b)
-            if self._refill() != (tn, td):
-                break
+        bucket = self._bucket
+        stamps = self._stamp
+        merge = self._merge
+        # rows at a lower ratio wait in the global heap, so the resolution
+        # holds exactly while the bucket holds a valid row
+        while bucket:
+            a, b, o, stamp = heappop(bucket)
+            if stamps[o] == stamp:
+                merge(a, b, o)
+            else:
+                self.stale_pops += 1
         return self.record_trace()
 
     def check_stable(self, t) -> Partition:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from importlib.resources import files
 
 import pytest
 
-from modsweep import Graph, Partition, load_edge_list
+from modsweep import Graph, Partition, SweepEngine, load_edge_list
 
 TRIANGLE_EDGES = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
 # two triangles joined by a single bridge edge, 7 edges, z = 14
@@ -91,3 +92,48 @@ def brute_force_min_cut(graph: Graph) -> tuple[int, set[int]]:
             best, best_side = cut, side
     assert best is not None
     return best, best_side
+
+
+def relabelled(edges, label: list[int]) -> Graph:
+    """Graph on the edge list with vertex v renamed ``label[v]``."""
+    return Graph.from_edge_list([(label[u], label[v], w) for u, v, w in edges], n=len(label))
+
+
+def windmill_edges(blades: int) -> list[tuple[int, int, int]]:
+    """Hub 0 joined to both ends of ``blades`` disjoint edges (2*blades + 1 vertices)."""
+    edges = []
+    for i in range(blades):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a, 1), (0, b, 1), (a, b, 1)]
+    return edges
+
+
+def windmill_labels(blades: int, order: str, seed: int = 0) -> list[int]:
+    """Labels for ``windmill_edges``: the hub ``first`` or ``last`` with the
+    blade vertices shuffled by ``seed``, or every vertex ``shuffled``."""
+    n = 2 * blades + 1
+    rng = random.Random(seed)
+    if order == "shuffled":
+        label = list(range(n))
+        rng.shuffle(label)
+        return label
+    blade = list(range(1, n)) if order == "first" else list(range(n - 1))
+    rng.shuffle(blade)
+    hub = 0 if order == "first" else n - 1
+    return [hub] + blade
+
+
+def full_sweep(graph: Graph, t_min: Fraction | None = None
+               ) -> tuple[list[tuple[int, int]], list[Fraction]]:
+    """Every ``merge_step`` pair and every traced ``t_exact`` of the sweep
+    that ``detect_communities`` runs down to ``t_min``, by default down to
+    resolution 0."""
+    eng = SweepEngine(graph)
+    eng.record_trace()
+    pairs = []
+    while eng.resolution() > 0 and (t_min is None or eng.resolution() >= t_min):
+        t = eng.resolution()
+        while eng.resolution() == t:
+            pairs.append(eng.merge_step())
+        eng.record_trace()
+    return pairs, [r.t_exact for r in eng.trace]

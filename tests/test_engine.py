@@ -1,5 +1,6 @@
 """The resolution-sweep engine: merges, sweeps, traces, and contracts."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from modsweep import (
     IllegalStateError,
     Partition,
     SweepEngine,
+    complete_binary_tree,
     compose,
     connected_components,
     detect_communities,
@@ -23,7 +25,14 @@ from modsweep import (
     singleton_partition,
 )
 
-from conftest import TWO_TRIANGLES_EDGES, random_graph
+from conftest import (
+    TWO_TRIANGLES_EDGES,
+    full_sweep,
+    random_graph,
+    relabelled,
+    windmill_edges,
+    windmill_labels,
+)
 
 
 class TestResolution:
@@ -295,6 +304,50 @@ class TestExactTieHandling:
         assert eng.resolution() == Fraction(z, a)
         assert eng.merge_step() == (0, 1)
         assert eng.resolution() == 0
+
+
+class TestGoldenMergeSequence:
+    """sha256 of (merge pairs, t_exact trace) of the sweep down to resolution
+    0.  Any change to the merge order or to an exact resolution changes it."""
+
+    @staticmethod
+    def digest(graph):
+        pairs, trace = full_sweep(graph)
+        text = repr((pairs, [(t.numerator, t.denominator) for t in trace]))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_karate(self, karate):
+        assert self.digest(karate[0]) == (
+            "265310bccc707f8714909a53203b09c5f0dc3ac7dd492ac0ef01010273219088")
+
+    def test_relabelled_tree(self):
+        tree = complete_binary_tree(10)
+        label = list(range(tree.n))
+        random.Random(10).shuffle(label)
+        assert self.digest(relabelled(tree.edges(), label)) == (
+            "5fa7abb81853bcb2c8d7c4ad0ad3d86a479ce932333b8fc08603080d7963efbd")
+
+    def test_windmill_hub_labelled_last(self):
+        g = relabelled(windmill_edges(1000), windmill_labels(1000, "last", seed=1000))
+        assert self.digest(g) == (
+            "554f75185af3525aaa4b79bbcc1338037dd9c19d22d43d79b0e1407c35faec29")
+
+
+class TestCounters:
+    @pytest.mark.parametrize("order", ["first", "last", "shuffled"])
+    def test_windmill_work_grows_subquadratically(self, order):
+        """A hub that absorbs its blades one at a time: heap work grows about
+        linearly with the blade count, and no merge moves a large row."""
+        pushes = []
+        for blades in (500, 1000, 2000):
+            g = relabelled(windmill_edges(blades), windmill_labels(blades, order, seed=blades))
+            eng = SweepEngine(g)
+            while eng.resolution() > 0:
+                eng.resolution_sweep()
+            assert eng.merges == 2 * blades
+            assert eng.max_rewired <= 2
+            pushes.append(eng.heap_pushes)
+        assert all(b <= 2.5 * a for a, b in zip(pushes, pushes[1:]))
 
 
 class TestQuotientRestart:

@@ -7,33 +7,44 @@ vertex index, so they order blocks by smallest member, as the engine's
 community ids do, and the lexicographic tie rules coincide.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from modsweep import (
     CommunityAggregates,
     Graph,
     Partition,
+    SweepEngine,
     compose,
     detect_communities,
+    load_edge_list,
     singleton_partition,
 )
 
+from conftest import full_sweep
 
-def reference_sweep(graph: Graph, t_min: Fraction) -> tuple[Partition, list[tuple[Fraction, int]]]:
-    """Partition and (t_exact, k) trace, recomputed from scratch per merge."""
+
+def reference_sweep(graph: Graph, t_min: Fraction
+                    ) -> tuple[Partition, list[tuple[Fraction, int]], list[tuple[int, int]]]:
+    """Partition, (t_exact, k) trace and merge pairs, recomputed from scratch
+    per merge.  Each pair names its blocks by their smallest members, as
+    ``SweepEngine.merge_step`` does."""
     part = singleton_partition(graph)
     agg = CommunityAggregates.from_partition(graph, part)
     trace = [(agg.resolution(), len(part))]
+    pairs = []
     while agg.resolution() >= t_min:
         t = agg.resolution()
         while agg.resolution() == t:
             a, b = min((a, b) for a, b, _ in agg.pairs() if agg.excess(a, b, t) == 0)
+            pairs.append((part.blocks[a][0], part.blocks[b][0]))
             part = compose(part, Partition([a if c == b else c for c in range(len(part))]))
             agg = CommunityAggregates.from_partition(graph, part)
         trace.append((agg.resolution(), len(part)))
-    return part, trace
+    return part, trace, pairs
 
 
 T_MINS = (Fraction(3, 2), Fraction(1), Fraction(1, 2), Fraction(1, 10**6))
@@ -51,11 +62,78 @@ def graphs(draw) -> Graph:
     return Graph.from_edge_list([(dense[u], dense[v], w) for u, v, w in edges])
 
 
+@st.composite
+def hub_graphs(draw) -> Graph:
+    """A hub joined to both ends of 3-25 blades, weights 1-4 or near 2**70,
+    a few blade-blade edges, and a seeded relabelling, so that orientation
+    flips and moves of the smaller row run often."""
+    blades = draw(st.integers(3, 25))
+    weight = st.one_of(st.integers(1, 4), st.integers(2**70 - 3, 2**70))
+    edges = []
+    for i in range(blades):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a, draw(weight)), (0, b, draw(weight)), (a, b, draw(weight))]
+    blade = st.integers(1, 2 * blades)
+    edges += draw(st.lists(st.tuples(blade, blade, weight), max_size=4))
+    label = list(range(2 * blades + 1))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(label)
+    return Graph.from_edge_list([(label[u], label[v], w) for u, v, w in edges])
+
+
+def check_against_reference(g: Graph, t_mins) -> None:
+    for t_min in t_mins:
+        part, trace = detect_communities(g, t_min)
+        ref_part, ref_trace, ref_pairs = reference_sweep(g, t_min)
+        assert part == ref_part
+        assert [(r.t_exact, r.k) for r in trace] == ref_trace
+        assert full_sweep(g, t_min)[0] == ref_pairs
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(graphs())
 def test_engine_matches_reference_sweep(g):
-    for t_min in T_MINS:
-        part, trace = detect_communities(g, t_min)
-        ref_part, ref_trace = reference_sweep(g, t_min)
-        assert part == ref_part
-        assert [(r.t_exact, r.k) for r in trace] == ref_trace
+    check_against_reference(g, T_MINS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(hub_graphs())
+def test_engine_matches_reference_sweep_on_hubs(g):
+    check_against_reference(g, (Fraction(1), Fraction(1, 10**6)))
+
+
+def test_row_float_collision_resolved_exactly():
+    """Two pairs in the hub's row whose row keys w/d round to the same
+    float but differ exactly: the exact maximum, with the larger partner id,
+    merges first.  The row twin of the engine's global-level test."""
+    w = 2**60
+    g = Graph.from_edge_list([(0, 1, w), (0, 2, w), (1, 1, 1)])
+    assert g.deg[0] > g.deg[1] > g.deg[2]  # vertex 0 owns both pairs
+    assert w / g.deg[1] == w / g.deg[2] == 1.0
+    assert Fraction(w, g.deg[1]) < Fraction(w, g.deg[2])
+    eng = SweepEngine(g)
+    assert eng.zero_pairs() == [(0, 2)]
+    assert eng.merge_step() == (0, 2)
+    assert eng.merge_step() == (0, 1)
+    assert eng.resolution() == 0
+    check_against_reference(g, (Fraction(1, 10**6),))
+
+
+def test_weights_beyond_float_range():
+    """Every heap key saturates at the float maximum instead of overflowing,
+    so the engine sweeps weights beyond float range exactly."""
+    g, _ = load_edge_list(f"a b {10**400}\nc d 1\n")
+    eng = SweepEngine(g)
+    assert eng.resolution() == 2 * 10**400 + 2
+    steps = [(eng.resolution(), eng.community_count)]
+    pairs = []
+    while eng.resolution() > 0:
+        pairs.append(eng.merge_step())
+        steps.append((eng.resolution(), eng.community_count))
+    assert pairs == [(2, 3), (0, 1)]
+    ref_part, ref_trace, ref_pairs = reference_sweep(g, Fraction(1, 10**6))
+    assert eng.partition() == ref_part
+    assert steps == ref_trace
+    assert pairs == ref_pairs
+    # the trace record stores a float resolution, which cannot hold 2e400
+    with pytest.raises(OverflowError):
+        detect_communities(g, 1)
