@@ -11,15 +11,13 @@ which point the partition is merge-stable (no coarsening scores higher) at
 every resolution down to ``t_min``.
 
 Exactness: all control flow compares integer ratios by cross multiplication.
-Floats serve only as heap keys, each the correctly rounded image of an exact
-ratio, and every float key saturates at ``sys.float_info.max`` instead of
-overflowing; both keep it monotone.  Where equal float keys meet in the
-global heap, the group is re-compared exactly before anything is committed,
-so neither rounding nor saturation can reorder or hide a tie.  Inside a row
-a key is the float only where that provably orders the ratio exactly, and
-the exact fraction otherwise (``_row_key``).  ``TraceRecord.t`` is a plain
-float, so ``record_trace`` (and hence ``detect_communities``) still raises
-``OverflowError`` once a resolution exceeds the float range.
+Heap keys come from one function, ``_exact_key``: the correctly rounded
+float of a ratio where no other ratio the heap can hold lies within two
+units in its last place, and the exact fraction otherwise.  No key exceeds
+1, since a pair's weight is at most either endpoint's degree, so none
+overflows.  ``TraceRecord.t`` is a plain float, so ``record_trace`` (and
+hence ``detect_communities``) still raises ``OverflowError`` once a
+resolution exceeds the float range.
 
 Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
 Each pair is stored once, in the candidate row of its owner, the endpoint
@@ -35,10 +33,12 @@ moves into the grown community's row then.
 Two levels: a row is a heap ordered by row key, then partner id.  Within a
 row the partner order is the lexicographic order of the pairs, so the front
 is the row's lexicographically smallest pair at its exact maximum ratio.  A
-global heap holds one entry per row for its front at the full ratio; the
-zero bucket holds, ordered by that pair, the rows whose front ratio equals
-the current resolution.  The bucket front is thus the lexicographically
-smallest zero pair overall.
+global heap holds one entry per row for that pair: the rounded float of
+``w / (d_low * d_owner)`` (``z`` is common to every ratio and left out),
+the exact key of the same ratio, then the pair.  The exact key is compared
+only where two floats are equal, so the heap orders rows by largest ratio,
+then smallest pair, and its front is the lexicographically smallest zero
+pair overall.
 
 Slots: internal arrays are indexed by slot.  A merge keeps the slot of the
 endpoint whose adjacency row is larger and moves only the smaller row into
@@ -49,14 +49,13 @@ Entries are invalidated lazily.  A candidate carries the low endpoint's
 degree it was keyed with, which changes with any merge of that endpoint.
 When a pair's weight grows, its new candidate has the larger key and sits
 in front of the old one, and both lapse together.  A row's entries in the
-global heap and the bucket carry a stamp that each republication of the
-row bumps.  The final certificate does not trust this bookkeeping: it is
-recomputed from the input graph and the returned partition.
+global heap carry a stamp that each republication of the row bumps.  The
+final certificate does not trust this bookkeeping: it is recomputed from
+the input graph and the returned partition.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -68,34 +67,27 @@ from .modularity import is_merge_stable
 from .partition import Partition
 from .rational import positive_fraction
 
-_FLOAT_MAX = sys.float_info.max
-# bound on p * z for a row key w/d, with p its reduced numerator, below which
-# the key is a float
+# bound on p * B for a key num/den, with p its reduced numerator and B a bound
+# on every denominator in its heap, below which the key is a float
 _SAFE = (1 << 50) - 1
 
 
-def _key(num: int, den: int) -> float:
-    """``num / den`` correctly rounded, saturated at the largest finite float."""
-    try:
-        return num / den
-    except OverflowError:
-        return _FLOAT_MAX
+def _exact_key(num: int, den: int, safe: int) -> float | Fraction:
+    """Heap key that orders ratios num/den exactly, largest first.
 
-
-def _row_key(w: int, d: int, safe: int) -> float | Fraction:
-    """Heap key that orders row ratios w/d exactly, largest first.
-
-    ``safe`` is ``_SAFE // z``.  With p the reduced numerator, p <= safe means
-    p * z < 2**50.  Any other ratio w'/d' with d' <= z then differs from w/d
-    by at least (w/d) / (p * z) > 2**-50 * w/d, more than two units in the
-    last place of the float, so the float orders w/d exactly against other
+    ``safe`` is ``_SAFE // B``, where B bounds every denominator the heap
+    holds: z for row keys w/d_low, z**2 for global keys w/(d_low*d_owner).
+    With p the reduced numerator, p <= safe means p * B < 2**50.  Any other
+    ratio with denominator at most B then differs from num/den by at least
+    (num/den) / (p * B) > 2**-50 * num/den, more than two units in the last
+    place of the float, so the float orders num/den exactly against other
     floats and fractions alike (Python compares the two exactly).  Beyond
     that bound the key is the exact fraction.  Equal ratios share a reduced
-    form and hence a key, so exact ties fall to the partner id.
+    form and hence a key.
     """
-    if w <= safe or w // gcd(w, d) <= safe:
-        return -(w / d)
-    return -Fraction(w, d)
+    if num <= safe or num // gcd(num, den) <= safe:
+        return -(num / den)
+    return -Fraction(num, den)
 
 
 class TraceRecord(NamedTuple):
@@ -139,8 +131,8 @@ class SweepEngine:
     construction; only ``check_stable`` does, to certify the result.
 
     Counters, all plain ints: ``merges``; ``heap_pushes``, the entries
-    pushed one at a time into the candidate rows, the global heap and the
-    zero bucket; ``stale_pops``, the invalidated entries popped; and
+    pushed one at a time into the candidate rows and the global heap;
+    ``stale_pops``, the invalidated entries popped; and
     ``max_rewired``, the most adjacency entries moved in one merge.
     """
 
@@ -164,6 +156,7 @@ class SweepEngine:
         self.max_rewired = 0
         self.trace: list[TraceRecord] = []
         safe = self._safe = _SAFE // z
+        gsafe = self._gsafe = _SAFE // (z * z)
         rows: list[list | None] = [None] * n
         heap = []
         owned = []
@@ -172,7 +165,7 @@ class SweepEngine:
             for v, w in adj[u].items():
                 dv = deg[v]
                 if dv < du or (dv == du and v < u):
-                    owned.append((_row_key(w, dv, safe), v, v, dv))
+                    owned.append((_exact_key(w, dv, safe), v, v, dv))
             if owned:
                 # a copy is allocated at its exact size
                 row = rows[u] = owned[:]
@@ -180,14 +173,15 @@ class SweepEngine:
                 heapify(row)
                 _, _, v, d = row[0]
                 w = adj[u][v]
-                heap.append((-_key(z * w, d * du), u, 0))
+                den = d * du
+                a, b = (v, u) if v < u else (u, v)
+                heap.append((-(w / den), _exact_key(w, den, gsafe), a, b, u, 0))
         heapify(heap)
         self._rows = rows
         self._up: list[list[int] | None] = [None] * n
         self._stamp = [0] * n
+        # (float key, exact key, a, b, slot, stamp) for each row's front pair
         self._heap = heap
-        # rows whose best ratio is the current resolution: (a, b, slot, stamp)
-        self._bucket: list[tuple[int, int, int, int]] = []
         self._t_num = 0
         self._t_den = 1
 
@@ -196,62 +190,24 @@ class SweepEngine:
     def _refill(self) -> tuple[int, int]:
         """Return the current resolution as an integer pair.
 
-        Ensures the bucket fronts a row with a valid zero-gain pair whenever
-        the resolution is positive.  Returns (0, 1) when no distinct pair
-        carries edge mass.
+        Pops stale entries until the global heap fronts a valid row, whose
+        front pair is then the lexicographically smallest zero-gain pair.
+        Returns (0, 1) when no distinct pair carries edge mass.
         """
-        stamps = self._stamp
-        bucket = self._bucket
-        while bucket:
-            e = bucket[0]
-            if stamps[e[2]] == e[3]:
-                return self._t_num, self._t_den
-            heappop(bucket)
-            self.stale_pops += 1
         heap = self._heap
-        while heap and stamps[heap[0][1]] != heap[0][2]:
+        stamps = self._stamp
+        while heap:
+            e = heap[0]
+            o = e[4]
+            if stamps[o] == e[5]:
+                _, _, s, d = self._rows[o][0]
+                tn = self._t_num = self.z * self._adj[o][s]
+                td = self._t_den = d * self.deg[self._pid[o]]
+                return tn, td
             heappop(heap)
             self.stale_pops += 1
-        if not heap:
-            self._t_num, self._t_den = 0, 1
-            return 0, 1
-        key = heap[0][0]
-        z = self.z
-        deg = self.deg
-        pid = self._pid
-        rows = self._rows
-        # the group of equal keys, re-compared exactly: bucket entries for the
-        # rows at the best ratio so far, and the entries below it
-        best_num, best_den = 0, 1
-        fresh = []
-        lower = []
-        while heap and heap[0][0] == key:
-            e = heappop(heap)
-            o = e[1]
-            if stamps[o] != e[2]:
-                self.stale_pops += 1
-                continue
-            _, p, s, d = rows[o][0]
-            w = self._adj[o][s]
-            po = pid[o]
-            num = z * w
-            den = d * deg[po]
-            gap = num * best_den - best_num * den
-            if gap < 0:
-                lower.append(e)
-                continue
-            if gap > 0:
-                lower += [(key, slot, stamp) for _, _, slot, stamp in fresh]
-                fresh = []
-                best_num, best_den = num, den
-            fresh.append((po, p, o, e[2]) if po < p else (p, po, o, e[2]))
-        for e in lower:
-            heappush(heap, e)
-        self.heap_pushes += len(lower)
-        heapify(fresh)
-        self._bucket = fresh
-        self._t_num, self._t_den = best_num, best_den
-        return best_num, best_den
+        self._t_num, self._t_den = 0, 1
+        return 0, 1
 
     def resolution(self) -> Fraction:
         """Exact resolution of the current partition (0 for no live pair)."""
@@ -341,9 +297,8 @@ class SweepEngine:
         The smaller adjacency row moves into the larger one; besides those
         entries, only the pairs where the larger side was the low endpoint
         get new keys.  Then the grown owner's row, whose ratios all changed,
-        and each row whose best pair changed re-enter their best pair: in
-        the zero bucket when its ratio still equals the resolution, else in
-        the global heap.
+        and each row whose best pair changed re-enter their best pair in the
+        global heap.
         """
         adj = self._adj
         deg = self.deg
@@ -413,13 +368,13 @@ class SweepEngine:
             cand = rows[v]
             f = cand[0]
             if dv < dc or (dv == dc and v < big):
-                heappush(row_c, (_row_key(w, dv, safe), pv, v, dv))
+                heappush(row_c, (_exact_key(w, dv, safe), pv, v, dv))
                 if up[v] is not None:
                     up[v].append(big)
                 if f[1] == a or f[1] == b:
                     changed.append(v)
             else:
-                heappush(cand, (_row_key(w, dc, safe), a, big, dc))
+                heappush(cand, (_exact_key(w, dc, safe), a, big, dc))
                 owners[kept] = v
                 kept += 1
                 if f[1] == a or f[1] == b or cand[0] is not f:
@@ -440,14 +395,14 @@ class SweepEngine:
             cand = rows[v]
             f = cand[0] if cand else None
             if dv < dc or (dv == dc and v < big):
-                heappush(row_c, (_row_key(nw, dv, safe), pv, v, dv))
+                heappush(row_c, (_exact_key(nw, dv, safe), pv, v, dv))
                 if old is None or dv > dbig or (dv == dbig and v > big):
                     if up[v] is not None:
                         up[v].append(big)
                 if f is not None and (f[1] == a or f[1] == b):
                     changed.append(v)
             else:
-                heappush(cand, (_row_key(nw, dc, safe), a, big, dc))
+                heappush(cand, (_exact_key(nw, dc, safe), a, big, dc))
                 owners.append(v)
                 if f[1] == a or f[1] == b or cand[0] is not f:
                     changed.append(v)
@@ -455,7 +410,7 @@ class SweepEngine:
         tn = self._t_num
         td = self._t_den
         heap = self._heap
-        bucket = self._bucket
+        gsafe = self._gsafe
         stale = 0
         for o in changed:
             row = rows[o]
@@ -470,18 +425,14 @@ class SweepEngine:
                 continue
             stamps[o] = stamp = stamps[o] + 1
             po = pid[o]
+            p = e[1]
             w = adj[o][e[2]]
-            num = z * w
             den = e[3] * deg[po]
-            gap = num * td - tn * den
-            pushes += 1
-            if gap < 0:
-                heappush(heap, (-_key(num, den), o, stamp))
-            elif gap == 0:
-                p = e[1]
-                heappush(bucket, (po, p, o, stamp) if po < p else (p, po, o, stamp))
-            else:
+            if z * w * td > tn * den:
                 raise IllegalStateError("pair ratio exceeded the current resolution")
+            pushes += 1
+            lo, hi = (po, p) if po < p else (p, po)
+            heappush(heap, (-(w / den), _exact_key(w, den, gsafe), lo, hi, o, stamp))
         self.heap_pushes += pushes
         if stale:
             self.stale_pops += stale
@@ -496,7 +447,7 @@ class SweepEngine:
         tn, _ = self._refill()
         if tn == 0:
             raise IllegalStateError("resolution is zero, there is nothing to merge")
-        a, b, o, _ = heappop(self._bucket)
+        _, _, a, b, o, _ = heappop(self._heap)
         self._merge(a, b, o)
         return a, b
 
@@ -509,13 +460,14 @@ class SweepEngine:
         tn, _ = self._refill()
         if tn == 0:
             raise IllegalStateError("resolution is zero, there is nothing to sweep")
-        bucket = self._bucket
+        heap = self._heap
         stamps = self._stamp
         merge = self._merge
-        # rows at a lower ratio wait in the global heap, so the resolution
-        # holds exactly while the bucket holds a valid row
-        while bucket:
-            a, b, o, stamp = heappop(bucket)
+        # rows at a lower ratio sort behind every row at the resolution, so
+        # the resolution holds exactly while the front keeps its exact key
+        k = heap[0][1]
+        while heap and heap[0][1] == k:
+            _, _, a, b, o, stamp = heappop(heap)
             if stamps[o] == stamp:
                 merge(a, b, o)
             else:

@@ -178,18 +178,18 @@ def min_cut(graph: Graph) -> int:
     adj: list[dict[int, int]] = [
         {v: w for v, w in nbrs.items() if v != u} for u, nbrs in enumerate(graph.adj)
     ]
-    alive = list(range(graph.n))
+    alive = graph.n
     best: int | None = None
-    while len(alive) > 1:
-        # maximum-adjacency ordering from the smallest alive vertex
-        start = alive[0]
+    while alive > 1:
+        # maximum-adjacency ordering from vertex 0, which leads every pass
+        # and so is never the last vertex, the one contracted away
         added = [False] * graph.n
         key = [0] * graph.n
-        heap: list[tuple[int, int]] = [(0, start)]
-        prev = last = start
+        heap: list[tuple[int, int]] = [(0, 0)]
+        prev = last = 0
         lastkey = 0
         count = 0
-        while count < len(alive):
+        while count < alive:
             while True:
                 negk, v = heapq.heappop(heap)
                 if not added[v] and key[v] == -negk:
@@ -213,6 +213,6 @@ def min_cut(graph: Graph) -> int:
             adj[prev][u] = nw
             adj[u][prev] = nw
         adj[last] = {}
-        alive.remove(last)
+        alive -= 1
     assert best is not None
     return best

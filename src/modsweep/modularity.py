@@ -107,11 +107,6 @@ class BoundsReport:
     q_t: float
     stable: bool
     witness: tuple[int, int] | None
-    upper_sum_sq: float
-    upper_fixed_k: float
-    upper_boundary_factor: float
-    lower_offdiag: float | None
-    stability_floor: float
     min_cut_value: int | None
     max_blocks: float | None
     scaling: list[ScalingCheck] = field(default_factory=list)
@@ -195,10 +190,8 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
     upper_boundary = diag_total * (1 - 2 * tf * min(rho))
     checks.append(CheckRow("q_upper_boundary_factor", q <= upper_boundary,
                            float(q), float(upper_boundary)))
-    lower_offdiag = None
     if tf <= 1:
         lo = (-tf / 2) * (1 - diag_total)
-        lower_offdiag = float(lo)
         checks.append(CheckRow("q_lower_offdiag", q >= lo, float(q), float(lo)))
     else:
         checks.append(CheckRow("q_lower_offdiag", None, note="needs t <= 1"))
@@ -252,8 +245,6 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
 
     return BoundsReport(
         t=tf, k=k, q_t=float(q), stable=stable, witness=witness,
-        upper_sum_sq=float(upper_sum_sq), upper_fixed_k=float(upper_fixed_k),
-        upper_boundary_factor=float(upper_boundary), lower_offdiag=lower_offdiag,
-        stability_floor=float(floor), min_cut_value=mc, max_blocks=max_blocks,
+        min_cut_value=mc, max_blocks=max_blocks,
         scaling=scaling, checks=checks,
     )

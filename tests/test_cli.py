@@ -1,10 +1,13 @@
 """Command-line behavior: round trips, determinism, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import modsweep
 from modsweep.cli import main
 
 BARBELL_TEXT = "a b\nb c\na c\nd e\ne f\nd f\nc d\n"
@@ -81,14 +84,18 @@ class TestDetect:
         assert "communities 2" in out
 
     def test_stdin_pipe(self, tmp_path):
+        # the child imports the package from the same source tree as the tests
+        src = str(Path(modsweep.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
         gen = subprocess.run(
             [sys.executable, "-m", "modsweep", "gen", "tree", "--height", "5"],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=env,
         )
         det = subprocess.run(
             [sys.executable, "-m", "modsweep", "detect", "-", "--t-min", "1",
              "--trace", str(tmp_path / "tr.csv")],
-            input=gen.stdout, capture_output=True, text=True, check=True,
+            input=gen.stdout, capture_output=True, text=True, check=True, env=env,
         )
         q1 = float([l for l in det.stdout.splitlines() if l.startswith("q_1")][0].split()[1])
         assert 0.75 <= q1 <= 0.763

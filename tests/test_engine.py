@@ -305,6 +305,20 @@ class TestExactTieHandling:
         assert eng.merge_step() == (0, 1)
         assert eng.resolution() == 0
 
+    def test_global_key_collision_resolved_exactly(self):
+        """Two row fronts whose global keys w / (d_low * d_owner) round to
+        the same float: the exact key decides, not the pair order."""
+        b = 2 ** 60
+        a = b + 1
+        g = Graph.from_edge_list([(0, 1, a), (2, 3, b)])
+        # premise: the float images collide, the exact ratios do not
+        assert a / (a * a) == b / (b * b)
+        assert Fraction(a, a * a) != Fraction(b, b * b)
+        eng = SweepEngine(g)
+        assert eng.merge_step() == (2, 3)
+        assert eng.merge_step() == (0, 1)
+        assert eng.resolution() == 0
+
 
 class TestGoldenMergeSequence:
     """sha256 of (merge pairs, t_exact trace) of the sweep down to resolution

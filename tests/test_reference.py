@@ -119,8 +119,9 @@ def test_row_float_collision_resolved_exactly():
 
 
 def test_weights_beyond_float_range():
-    """Every heap key saturates at the float maximum instead of overflowing,
-    so the engine sweeps weights beyond float range exactly."""
+    """No heap key exceeds 1, since a pair's weight is at most either
+    endpoint's degree, so the engine sweeps weights beyond float range
+    exactly."""
     g, _ = load_edge_list(f"a b {10**400}\nc d 1\n")
     eng = SweepEngine(g)
     assert eng.resolution() == 2 * 10**400 + 2
