@@ -20,38 +20,48 @@ hence ``detect_communities``) still raises ``OverflowError`` once a
 resolution exceeds the float range.
 
 Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
-Each pair is stored once, in the candidate row of its owner, the endpoint
-of higher degree (equal degrees go to the higher slot), keyed by
+Each pair is filed in the candidate row of its owner, the endpoint of
+higher degree (equal degrees go to the higher slot), keyed by
 ``w / d_low``.  Degrees only grow, so an owner stays the owner when it
 grows, and its row keeps its order: every ratio in it scales by the same
 factor.  So a community that absorbs many others one at a time never
-re-keys its own row.  Only the pairs where the grown community is the low
-endpoint need a new key, and there are at most ``z / d`` of them, since
-each of their owners has degree at least ``d``; a pair whose owner changes
-moves into the grown community's row then.
+re-keys its own row.  The pairs where it was the low endpoint keep their
+old keys, which now overestimate their ratios; each is re-keyed only when
+it reaches the front of its row.
 
 Two levels: a row is a heap ordered by row key, then partner id.  Within a
-row the partner order is the lexicographic order of the pairs, so the front
-is the row's lexicographically smallest pair at its exact maximum ratio.  A
-global heap holds one entry per row for that pair: the rounded float of
-``w / (d_low * d_owner)`` (``z`` is common to every ratio and left out),
-the exact key of the same ratio, then the pair.  The exact key is compared
-only where two floats are equal, so the heap orders rows by largest ratio,
-then smallest pair, and its front is the lexicographically smallest zero
-pair overall.
+row the partner order is the lexicographic order of the pairs, so a current
+front is the row's lexicographically smallest pair at its exact maximum
+ratio.  A global heap holds one entry per row for that pair: the rounded
+float of ``w / (d_low * d_owner)`` (``z`` is common to every ratio and left
+out), the exact key of the same ratio, then the pair.  The exact key is
+compared only where two floats are equal, so the heap orders rows by
+largest ratio, then smallest pair, and its front is the lexicographically
+smallest zero pair overall.
 
 Slots: internal arrays are indexed by slot.  A merge keeps the slot of the
 endpoint whose adjacency row is larger and moves only the smaller row into
 it.  The merged community's public id, which every argument and result
 uses, stays its smallest member id.
 
-Entries are invalidated lazily.  A candidate carries the low endpoint's
-degree it was keyed with, which changes with any merge of that endpoint.
-When a pair's weight grows, its new candidate has the larger key and sits
-in front of the old one, and both lapse together.  A row's entries in the
-global heap carry a stamp that each republication of the row bumps.  The
-final certificate does not trust this bookkeeping: it is recomputed from
-the input graph and the returned partition.
+Entries are invalidated lazily.  A row entry carries the low endpoint's
+degree and the pair weight it was keyed with, and is current while that
+degree is unchanged.  An entry that is not current is popped when it
+reaches its row's front.  If the pair still has the entry's weight, only
+the partner grew: the entry has lapsed, and the pair is filed again under
+its current owner.  Otherwise the entry is superseded, because the merge
+that grew the weight filed a newer entry or the pair is gone, and it is
+dropped.  Degrees only grow and a pair is filed again as soon as its
+weight grows, so no stored key underestimates its pair's current ratio.
+A row enters the global heap only with a current front, whenever its
+owner grows or a pair is filed in front of it, and a row whose published
+front has since gone stale is republished when its entry reaches the
+global front.  So a global front whose row front is current carries the
+exact maximum ratio, and any stale entry that sorts ahead of the smallest
+pair at that ratio is repaired first.  Each republication bumps the row's
+stamp, which retires its older global entries.  The final certificate
+does not trust this bookkeeping: it is recomputed from the input graph
+and the returned partition.
 """
 
 from __future__ import annotations
@@ -125,15 +135,15 @@ class SweepEngine:
     live slots and ``w_internal`` the total internal weight, so the state
     is its own quotient graph with the diagonal summed.  ``_rows[slot]`` is
     its candidate row, a heap of ``(row key, partner id, partner slot,
-    d_low)`` (see the module docstring).  ``_up[slot]`` lists the slots
-    that own its other pairs; it is built the first time the slot keeps its
-    place in a merge.  The sweep never reads the input ``graph`` after
+    d_low, w)``, or None before its first pair is filed (see the module
+    docstring).  The sweep never reads the input ``graph`` after
     construction; only ``check_stable`` does, to certify the result.
 
     Counters, all plain ints: ``merges``; ``heap_pushes``, the entries
     pushed one at a time into the candidate rows and the global heap;
-    ``stale_pops``, the invalidated entries popped; and
-    ``max_rewired``, the most adjacency entries moved in one merge.
+    ``stale_pops``, the invalidated entries popped, lapsed row entries that
+    are filed again among them; and ``max_rewired``, the most adjacency
+    entries moved in one merge.
     """
 
     def __init__(self, graph: Graph):
@@ -165,47 +175,57 @@ class SweepEngine:
             for v, w in adj[u].items():
                 dv = deg[v]
                 if dv < du or (dv == du and v < u):
-                    owned.append((_exact_key(w, dv, safe), v, v, dv))
+                    owned.append((_exact_key(w, dv, safe), v, v, dv, w))
             if owned:
                 # a copy is allocated at its exact size
                 row = rows[u] = owned[:]
                 owned.clear()
                 heapify(row)
-                _, _, v, d = row[0]
-                w = adj[u][v]
+                _, v, _, d, w = row[0]
                 den = d * du
                 a, b = (v, u) if v < u else (u, v)
                 heap.append((-(w / den), _exact_key(w, den, gsafe), a, b, u, 0))
         heapify(heap)
         self._rows = rows
-        self._up: list[list[int] | None] = [None] * n
         self._stamp = [0] * n
         # (float key, exact key, a, b, slot, stamp) for each row's front pair
         self._heap = heap
-        self._t_num = 0
-        self._t_den = 1
+        # the resolution last read; no current pair may exceed it
+        self._t_num = 1
+        self._t_den = 0
 
     # -- resolution bookkeeping -------------------------------------------
 
     def _refill(self) -> tuple[int, int]:
         """Return the current resolution as an integer pair.
 
-        Pops stale entries until the global heap fronts a valid row, whose
-        front pair is then the lexicographically smallest zero-gain pair.
-        Returns (0, 1) when no distinct pair carries edge mass.
+        Pops retired entries and republishes each row whose published front
+        has gone stale, until the global heap fronts a valid row with a
+        current front.  That front is then the lexicographically smallest
+        zero-gain pair.  Raises IllegalStateError if its ratio exceeds the
+        resolution last read.  Returns (0, 1) when no distinct pair carries
+        edge mass.
         """
         heap = self._heap
         stamps = self._stamp
+        rows = self._rows
+        deg = self.deg
         while heap:
-            e = heap[0]
-            o = e[4]
-            if stamps[o] == e[5]:
-                _, _, s, d = self._rows[o][0]
-                tn = self._t_num = self.z * self._adj[o][s]
-                td = self._t_den = d * self.deg[self._pid[o]]
-                return tn, td
-            heappop(heap)
-            self.stale_pops += 1
+            _, _, _, _, o, stamp = heap[0]
+            if stamps[o] != stamp:
+                heappop(heap)
+                self.stale_pops += 1
+                continue
+            _, p, _, d, w = rows[o][0]
+            if deg[p] != d:
+                self._publish(o)
+                continue
+            tn = self.z * w
+            td = d * deg[self._pid[o]]
+            if tn * self._t_den > self._t_num * td:
+                raise IllegalStateError("pair ratio exceeded the current resolution")
+            self._t_num, self._t_den = tn, td
+            return tn, td
         self._t_num, self._t_den = 0, 1
         return 0, 1
 
@@ -289,24 +309,76 @@ class SweepEngine:
 
     # -- merging --------------------------------------------------------------
 
+    def _file(self, s: int, v: int, w: int) -> int:
+        """File the pair of slots s and v, of weight w, in its owner's row,
+        keyed by w / d_low.
+
+        Returns the owner's slot when the pair lands at the front of that
+        row, whose published front then needs replacing, and -1 otherwise.
+        """
+        deg = self.deg
+        pid = self._pid
+        ps = pid[s]
+        pv = pid[v]
+        ds = deg[ps]
+        dv = deg[pv]
+        if dv > ds or (dv == ds and v > s):
+            s, v, pv, dv = v, s, ps, ds
+        e = (_exact_key(w, dv, self._safe), pv, v, dv, w)
+        self.heap_pushes += 1
+        row = self._rows[s]
+        if row is None:
+            self._rows[s] = [e]
+            return s
+        heappush(row, e)
+        return s if row[0] is e else -1
+
+    def _publish(self, o: int) -> None:
+        """Enter the front pair of slot o's row in the global heap.
+
+        Stale fronts are popped first: a lapsed pair is filed again and a
+        superseded one dropped.  The stamp retires the row's older global
+        entries; an emptied row publishes nothing.
+        """
+        row = self._rows[o]
+        deg = self.deg
+        stamps = self._stamp
+        weights = self._adj[o]
+        while row:
+            e = row[0]
+            if deg[e[1]] == e[3]:
+                break
+            _, _, s, _, w = heappop(row)
+            self.stale_pops += 1
+            if weights.get(s) == w and self._file(o, s, w) == s:
+                self._publish(s)
+        else:
+            stamps[o] += 1
+            return
+        stamps[o] = stamp = stamps[o] + 1
+        po = self._pid[o]
+        _, p, _, d, w = e
+        den = d * deg[po]
+        lo, hi = (po, p) if po < p else (p, po)
+        heappush(self._heap, (-(w / den), _exact_key(w, den, self._gsafe), lo, hi, o, stamp))
+        self.heap_pushes += 1
+
     def _merge(self, a: int, b: int, o: int) -> None:
-        """Merge community b into a (public ids, a < b, the front of slot o's
-        row), updating aggregates and rows.
+        """Merge community b into a (public ids, a < b, the current front of
+        slot o's row), updating aggregates and rows.
 
         Caller guarantees the pair has zero gain at the current resolution.
-        The smaller adjacency row moves into the larger one; besides those
-        entries, only the pairs where the larger side was the low endpoint
-        get new keys.  Then the grown owner's row, whose ratios all changed,
-        and each row whose best pair changed re-enter their best pair in the
-        global heap.
+        The smaller adjacency row moves into the larger one, and each of its
+        pairs is filed again under its owner with the merged community; a
+        neighbour's row where that pair lands in front is republished.
+        Pairs where the larger side was the low endpoint keep their keys
+        until they reach the front of their row.  Then the grown row, whose
+        ratios all fell, is republished.
         """
         adj = self._adj
         deg = self.deg
         pid = self._pid
-        up = self._up
         rows = self._rows
-        stamps = self._stamp
-        safe = self._safe
         # the pair leaves its row; its partner slot is the other community
         sp = heappop(rows[o])[2]
         if pid[o] == a:
@@ -320,122 +392,30 @@ class SweepEngine:
         wab = row_a.pop(sb)
         del row_b[sa]
         if len(row_b) > len(row_a):
-            big, small, dbig, row_l, row_s = sb, sa, db, row_b, row_a
+            big, small, row_l, row_s = sb, sa, row_b, row_a
             pid[sb] = a
         else:
-            big, small, dbig, row_l, row_s = sa, sb, da, row_a, row_b
-        owners = up[big]
-        if owners is None:
-            owners = up[big] = []
-            for v in row_l:
-                dv = deg[pid[v]]
-                if dv > dbig or (dv == dbig and v > big):
-                    owners.append(v)
+            big, small, row_l, row_s = sa, sb, row_a, row_b
         self.w_internal += 2 * wab
         self.deg_sq += 2 * da * db
-        dc = deg[a] = da + db
+        deg[a] = da + db
         deg[b] = 0
         nxt = self._next
         nxt[a], nxt[b] = nxt[b], nxt[a]
-        if rows[small]:
-            stamps[small] += 1  # retires the smaller side's published entries
-        adj[small] = rows[small] = up[small] = None
+        self._stamp[small] += 1  # retires the smaller side's published entry
+        adj[small] = rows[small] = None
         self.merges += 1
-        pushes = len(row_s)
-        if pushes > self.max_rewired:
-            self.max_rewired = pushes
-        row_c = rows[big]
-        if row_c is None:
-            row_c = rows[big] = []
-        # rows to republish; a neighbour's row is among them when its best
-        # pair (valid before the merge) involved a or b, or a new candidate
-        # went in front of it
-        changed = [big]
-        # pairs where the larger side was the low endpoint: a new key in the
-        # owner's row, or a move into c's row once c outranks the owner; the
-        # owner list keeps the slots still owning a pair with c
-        kept = 0
-        for v in owners:
-            if v in row_s:
-                continue
-            w = row_l.get(v)
-            if w is None:  # v was merged away
-                continue
-            pv = pid[v]
-            dv = deg[pv]
-            if dv < dbig or (dv == dbig and v < big):  # the larger side owns it
-                continue
-            cand = rows[v]
-            f = cand[0]
-            if dv < dc or (dv == dc and v < big):
-                heappush(row_c, (_exact_key(w, dv, safe), pv, v, dv))
-                if up[v] is not None:
-                    up[v].append(big)
-                if f[1] == a or f[1] == b:
-                    changed.append(v)
-            else:
-                heappush(cand, (_exact_key(w, dc, safe), a, big, dc))
-                owners[kept] = v
-                kept += 1
-                if f[1] == a or f[1] == b or cand[0] is not f:
-                    changed.append(v)
-            pushes += 1
-        del owners[kept:]
-        # the smaller side's pairs: weights add into the larger row, and each
-        # pair is filed under its owner with c
+        if len(row_s) > self.max_rewired:
+            self.max_rewired = len(row_s)
+        file = self._file
         for v, w in row_s.items():
             row_v = adj[v]
             del row_v[small]
-            old = row_l.get(v)
-            nw = w if old is None else old + w
-            row_l[v] = nw
-            row_v[big] = nw
-            pv = pid[v]
-            dv = deg[pv]
-            cand = rows[v]
-            f = cand[0] if cand else None
-            if dv < dc or (dv == dc and v < big):
-                heappush(row_c, (_exact_key(nw, dv, safe), pv, v, dv))
-                if old is None or dv > dbig or (dv == dbig and v > big):
-                    if up[v] is not None:
-                        up[v].append(big)
-                if f is not None and (f[1] == a or f[1] == b):
-                    changed.append(v)
-            else:
-                heappush(cand, (_exact_key(nw, dc, safe), a, big, dc))
-                owners.append(v)
-                if f[1] == a or f[1] == b or cand[0] is not f:
-                    changed.append(v)
-        z = self.z
-        tn = self._t_num
-        td = self._t_den
-        heap = self._heap
-        gsafe = self._gsafe
-        stale = 0
-        for o in changed:
-            row = rows[o]
-            while row:
-                e = row[0]
-                if deg[e[1]] == e[3]:
-                    break
-                heappop(row)
-                stale += 1
-            else:
-                stamps[o] += 1
-                continue
-            stamps[o] = stamp = stamps[o] + 1
-            po = pid[o]
-            p = e[1]
-            w = adj[o][e[2]]
-            den = e[3] * deg[po]
-            if z * w * td > tn * den:
-                raise IllegalStateError("pair ratio exceeded the current resolution")
-            pushes += 1
-            lo, hi = (po, p) if po < p else (p, po)
-            heappush(heap, (-(w / den), _exact_key(w, den, gsafe), lo, hi, o, stamp))
-        self.heap_pushes += pushes
-        if stale:
-            self.stale_pops += stale
+            w += row_l.get(v, 0)
+            row_l[v] = row_v[big] = w
+            if file(big, v, w) == v:
+                self._publish(v)
+        self._publish(big)
 
     def merge_step(self) -> tuple[int, int]:
         """Merge the lexicographically smallest zero-gain pair.
@@ -461,17 +441,16 @@ class SweepEngine:
         if tn == 0:
             raise IllegalStateError("resolution is zero, there is nothing to sweep")
         heap = self._heap
-        stamps = self._stamp
+        refill = self._refill
         merge = self._merge
-        # rows at a lower ratio sort behind every row at the resolution, so
-        # the resolution holds exactly while the front keeps its exact key
+        # each refill leaves a current front at the exact maximum ratio, so
+        # the resolution holds while that front keeps its exact key
         k = heap[0][1]
-        while heap and heap[0][1] == k:
-            _, _, a, b, o, stamp = heappop(heap)
-            if stamps[o] == stamp:
-                merge(a, b, o)
-            else:
-                self.stale_pops += 1
+        while True:
+            _, _, a, b, o, _ = heappop(heap)
+            merge(a, b, o)
+            if not refill()[0] or heap[0][1] != k:
+                break
         return self.record_trace()
 
     def check_stable(self, t) -> Partition:

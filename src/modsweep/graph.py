@@ -63,12 +63,15 @@ class Graph:
         if n is None:
             n = 1 + max(max(u, v) for u, v, _ in edges)
         adj: list[dict[int, int]] = [dict() for _ in range(n)]
-        for u, v, w in edges:
-            if u == v:
-                adj[u][u] = adj[u].get(u, 0) + 2 * w
-            else:
-                adj[u][v] = adj[u].get(v, 0) + w
-                adj[v][u] = adj[v].get(u, 0) + w
+        try:
+            for u, v, w in edges:
+                if u == v:
+                    adj[u][u] = adj[u].get(u, 0) + 2 * w
+                else:
+                    adj[u][v] = adj[u].get(v, 0) + w
+                    adj[v][u] = adj[v].get(u, 0) + w
+        except IndexError:
+            raise ValueError(f"edge {(u, v, w)} has a vertex out of range for n={n}") from None
         return cls(adj)
 
     def edges(self) -> Iterator[tuple[int, int, int]]:

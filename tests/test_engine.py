@@ -353,6 +353,7 @@ class TestCounters:
         """A hub that absorbs its blades one at a time: heap work grows about
         linearly with the blade count, and no merge moves a large row."""
         pushes = []
+        stale = []
         for blades in (500, 1000, 2000):
             g = relabelled(windmill_edges(blades), windmill_labels(blades, order, seed=blades))
             eng = SweepEngine(g)
@@ -361,7 +362,23 @@ class TestCounters:
             assert eng.merges == 2 * blades
             assert eng.max_rewired <= 2
             pushes.append(eng.heap_pushes)
+            stale.append(eng.stale_pops)
         assert all(b <= 2.5 * a for a, b in zip(pushes, pushes[1:]))
+        # a lapsed pair filed again and again would show here
+        assert all(b <= 2.5 * a for a, b in zip(stale, stale[1:]))
+
+    @pytest.mark.parametrize("name, expected", [
+        ("karate", (33, 103, 106, 4)),
+        ("tree", (2046, 4221, 3194, 5)),
+    ])
+    def test_exact_counts_of_a_full_sweep(self, karate, name, expected):
+        """The counters are deterministic: merges, heap pushes, stale pops
+        and the largest rewiring of a full sweep down to resolution 0."""
+        g = karate[0] if name == "karate" else complete_binary_tree(10)
+        eng = SweepEngine(g)
+        while eng.resolution() > 0:
+            eng.resolution_sweep()
+        assert (eng.merges, eng.heap_pushes, eng.stale_pops, eng.max_rewired) == expected
 
 
 class TestQuotientRestart:

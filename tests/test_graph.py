@@ -87,6 +87,10 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph([{1: 0}, {0: 0}])
 
+    def test_edge_beyond_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 5, 1\).*n=3"):
+            Graph.from_edge_list([(0, 5, 1)], n=3)
+
     def test_degree_sum_equals_total(self):
         rng = random.Random(7)
         for _ in range(25):

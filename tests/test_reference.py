@@ -118,6 +118,19 @@ def test_row_float_collision_resolved_exactly():
     check_against_reference(g, (Fraction(1, 10**6),))
 
 
+def test_merged_pair_filed_in_front_of_a_neighbour_row():
+    """Merging 3 into 2 adds the pair (0, 3) into (0, 2) and files it under
+    0, which outgrew 2 after their pair was filed in 2's row.  The new entry
+    fronts 0's row at the ratio of the stale (0, 3) entry it passes, so 0's
+    row must be published again under the pair (0, 2)."""
+    g = Graph.from_edge_list([(0, 2, 4), (0, 5, 4), (1, 5, 2), (2, 3, 2), (2, 4, 3), (3, 5, 1)])
+    eng = SweepEngine(g)
+    pairs = [eng.merge_step() for _ in range(5)]
+    assert pairs == [(1, 5), (2, 4), (0, 1), (2, 3), (0, 2)]
+    assert eng.resolution() == 0
+    check_against_reference(g, (Fraction(1, 10**6),))
+
+
 def test_weights_beyond_float_range():
     """No heap key exceeds 1, since a pair's weight is at most either
     endpoint's degree, so the engine sweeps weights beyond float range
