@@ -16,7 +16,7 @@ from .graph import Graph, format_edge_list, load_edge_list, min_cut
 from .modularity import bounds_report
 from .measures import CommunityAggregates
 from .oracle import best_partition
-from .partition import format_partition, parse_partition, refine_connected
+from .partition import format_partition, parse_partition
 from .rational import positive_fraction
 
 
@@ -43,8 +43,6 @@ def _cmd_detect(args) -> int:
     graph, labels = _read_graph(args.graph)
     t_min = positive_fraction(args.t_min, "--t-min")
     part, trace = detect_communities(graph, t_min)
-    if args.ensure_connected:
-        part = refine_connected(graph, part)
     agg = CommunityAggregates.from_partition(graph, part)
     q_tmin = agg.score(t_min)
     q_1 = agg.score(1)
@@ -140,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", default="1", help="stop once the resolution falls below this")
     p.add_argument("--trace", help="write the per-resolution trace CSV here")
     p.add_argument("--output", help="write the final partition here")
-    p.add_argument("--ensure-connected", action="store_true",
-                   help="split any disconnected community (never lowers the score)")
     p.add_argument("--exact-report", action="store_true",
                    help="also print resolutions as integer fractions")
     p.set_defaults(func=_cmd_detect)

@@ -127,13 +127,15 @@ def format_trace_csv(trace: list[TraceRecord]) -> str:
 class SweepEngine:
     """Mutable sweep state over community aggregates.
 
-    Communities start as one per vertex.  ``deg``, ``zero_pairs``,
-    ``merge_step`` and ``partition`` speak in public ids, the smallest
-    member id of each community; ``deg`` is 0 for an id merged away.
-    Internally a community lives in a slot, whose public id is
-    ``_pid[slot]``.  ``_adj[slot]`` holds its cross weights to the other
-    live slots and ``w_internal`` the total internal weight, so the state
-    is its own quotient graph with the diagonal summed.  ``_rows[slot]`` is
+    Communities start as one per vertex.  ``deg``, ``merge_step`` and
+    ``partition`` speak in public ids, the smallest member id of each
+    community; ``deg`` is 0 for an id merged away.  Internally a community
+    lives in a slot, whose public id is ``_pid[slot]``.  ``_adj[slot]``
+    holds its cross weights to the other live slots and ``w_internal`` the
+    total internal weight, so the state is its own quotient graph with the
+    diagonal summed; ``deg_sq`` is the sum of squared community degrees.
+    The trace reads these two sums; any other score of the partition comes
+    from ``CommunityAggregates`` on ``partition()``.  ``_rows[slot]`` is
     its candidate row, a heap of ``(row key, partner id, partner slot,
     d_low, w)``, or None before its first pair is filed (see the module
     docstring).  The sweep never reads the input ``graph`` after
@@ -234,51 +236,6 @@ class SweepEngine:
         num, den = self._refill()
         return Fraction(num, den)
 
-    def zero_pairs(self, t=None) -> list[tuple[int, int]]:
-        """Distinct community pairs whose excess mass at t is exactly zero.
-
-        Defaults to the current resolution, where the set is nonempty
-        whenever the resolution is positive.
-        """
-        if t is None:
-            tn, td = self._refill()
-        else:
-            tf = positive_fraction(t)
-            tn, td = tf.numerator, tf.denominator
-        if tn == 0:
-            return []
-        z = self.z
-        deg = self.deg
-        pid = self._pid
-        out = []
-        for s, row in enumerate(self._adj):
-            if row is None:
-                continue
-            a = pid[s]
-            da = deg[a]
-            for v, w in row.items():
-                b = pid[v]
-                if b > a and z * w * td == tn * da * deg[b]:
-                    out.append((a, b))
-        out.sort()
-        return out
-
-    # -- aggregate queries --------------------------------------------------
-
-    @property
-    def community_count(self) -> int:
-        return self.n - self.merges
-
-    def alpha(self) -> Fraction:
-        """Null-model mass concentrated on the diagonal."""
-        return Fraction(self.deg_sq, self.z * self.z)
-
-    def q_at(self, t) -> Fraction:
-        """Exact score of the current partition at resolution t."""
-        tf = positive_fraction(t)
-        z = self.z
-        return Fraction(self.w_internal, z) - tf * Fraction(self.deg_sq, z * z)
-
     def partition(self) -> Partition:
         raw = [0] * self.n
         nxt = self._next
@@ -294,16 +251,18 @@ class SweepEngine:
         return Partition(raw)
 
     def record_trace(self) -> TraceRecord:
-        """Append a snapshot of the current state at its own resolution."""
+        """Append a snapshot of the current state at its own resolution.
+
+        Each float is one integer division, correctly rounded, so it equals
+        ``float()`` of the exact value; a resolution beyond float range
+        raises OverflowError.
+        """
         tn, td = self._refill()
-        t_exact = Fraction(tn, td)
-        z = self.z
-        w_frac = Fraction(self.w_internal, z)
-        alpha = Fraction(self.deg_sq, z * z)
-        q_t = w_frac - t_exact * alpha
-        q_1 = w_frac - alpha
-        rec = TraceRecord(len(self.trace), float(t_exact), t_exact,
-                          self.community_count, float(q_t), float(q_1), float(alpha))
+        z2 = self.z * self.z
+        w = self.w_internal * self.z
+        deg_sq = self.deg_sq
+        rec = TraceRecord(len(self.trace), tn / td, Fraction(tn, td), self.n - self.merges,
+                          (w * td - tn * deg_sq) / (z2 * td), (w - deg_sq) / z2, deg_sq / z2)
         self.trace.append(rec)
         return rec
 

@@ -74,6 +74,8 @@ def refine_connected(graph: "Graph", partition: Partition) -> Partition:
     the modularity score at any resolution.
     """
     assign = partition.assign
+    if len(assign) != graph.n:
+        raise ValueError("partition does not cover this graph's vertex set")
     label = [-1] * graph.n
     nxt = 0
     for v0 in range(graph.n):

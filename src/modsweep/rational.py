@@ -16,11 +16,11 @@ def positive_fraction(t, name: str = "t") -> Fraction:
     A float is read as its shortest decimal form, so 0.1 means 1/10, as
     the CLI's "0.1" does; strings use the usual Fraction grammar ("0.7"
     and "7/10" both give 7/10).  Anything else that is not a number, "1/0"
-    included, raises ValueError naming ``name``.
+    and None included, raises ValueError naming ``name``.
     """
     try:
         f = Fraction(str(t) if isinstance(t, float) else t)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"{name} must be a number, got {t!r}") from None
     if f <= 0:
         raise ValueError(f"{name} must be positive, got {t!r}")

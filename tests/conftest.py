@@ -8,7 +8,7 @@ from importlib.resources import files
 
 import pytest
 
-from modsweep import Graph, Partition, SweepEngine, load_edge_list
+from modsweep import CommunityAggregates, Graph, Partition, SweepEngine, load_edge_list
 
 TRIANGLE_EDGES = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
 # two triangles joined by a single bridge edge, 7 edges, z = 14
@@ -121,6 +121,15 @@ def windmill_labels(blades: int, order: str, seed: int = 0) -> list[int]:
     rng.shuffle(blade)
     hub = 0 if order == "first" else n - 1
     return [hub] + blade
+
+
+def zero_pairs(graph: Graph, part: Partition, t) -> list[tuple[int, int]]:
+    """Adjacent block pairs with exactly zero excess mass at ``t``, sorted,
+    each naming its blocks by their smallest members, as
+    ``SweepEngine.merge_step`` does."""
+    agg = CommunityAggregates.from_partition(graph, part)
+    return sorted((part.blocks[a][0], part.blocks[b][0])
+                  for a, b, _ in agg.pairs() if agg.excess(a, b, t) == 0)
 
 
 def full_sweep(graph: Graph, t_min: Fraction | None = None

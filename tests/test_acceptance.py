@@ -31,7 +31,7 @@ from modsweep import (
 )
 from modsweep.partition import Partition, compose
 
-from conftest import random_graph, random_partition
+from conftest import random_graph, random_partition, zero_pairs
 
 TREE_TABLE = [
     (3, 0.5357143, 0.505102),
@@ -231,13 +231,15 @@ def test_criterion_6_property_suites():
         eng = SweepEngine(g)
         while eng.resolution() > 0:
             t = eng.resolution()
-            q_before = eng.q_at(t)
-            alpha_before = eng.alpha()
-            zero_before = len(eng.zero_pairs(t))
+            agg = CommunityAggregates.from_partition(g, eng.partition())
+            q_before = agg.score(t)
+            alpha_before = agg.alpha()
+            zero_before = len(zero_pairs(g, eng.partition(), t))
             eng.merge_step()
-            good = good and eng.q_at(t) == q_before
-            good = good and eng.alpha() > alpha_before
-            good = good and len(eng.zero_pairs(t)) < zero_before
+            agg = CommunityAggregates.from_partition(g, eng.partition())
+            good = good and agg.score(t) == q_before
+            good = good and agg.alpha() > alpha_before
+            good = good and len(zero_pairs(g, eng.partition(), t)) < zero_before
     subs.append(("merge-step-identities", good))
 
     # across sweeps the resolution strictly falls and lower scores strictly rise
@@ -248,11 +250,11 @@ def test_criterion_6_property_suites():
         s = Fraction(1, 1000)
         last_t = eng.resolution()
         while eng.resolution() > s:
-            q_s = eng.q_at(s)
+            q_s = modularity(g, eng.partition(), s)
             eng.resolution_sweep()
             good = good and eng.resolution() < last_t
             last_t = eng.resolution()
-            good = good and eng.q_at(s) > q_s
+            good = good and modularity(g, eng.partition(), s) > q_s
     subs.append(("sweep-identities", good))
 
     for name, flag in subs:

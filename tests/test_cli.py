@@ -1,6 +1,8 @@
 """Command-line behavior: round trips, determinism, exit codes."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import modsweep
-from modsweep.cli import main
+from modsweep.cli import build_parser, main
 
 BARBELL_TEXT = "a b\nb c\na c\nd e\ne f\nd f\nc d\n"
 
@@ -77,11 +79,6 @@ class TestDetect:
         code, out, _ = run_cli(capsys, "detect", barbell_file, "--exact-report")
         assert code == 0
         assert "final_resolution_exact 2/7" in out
-
-    def test_ensure_connected_flag(self, capsys, barbell_file):
-        code, out, _ = run_cli(capsys, "detect", barbell_file, "--ensure-connected")
-        assert code == 0
-        assert "communities 2" in out
 
     def test_stdin_pipe(self, tmp_path):
         # the child imports the package from the same source tree as the tests
@@ -222,8 +219,45 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_ensure_connected_flag_rejected(self, barbell_file):
+        # every community the sweep returns is connected, so there is no
+        # --ensure-connected knob
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", barbell_file, "--ensure-connected"])
+        assert exc.value.code == 2
+
     def test_mincut_disconnected(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
         path.write_text("a b\nc d\n")
         code, _, err = run_cli(capsys, "mincut", str(path))
         assert code == 2
+
+
+def _flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Long options of ``parser`` and of its nested subcommands, but --help."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _flags(sub)
+        flags.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+    return flags
+
+
+def test_readme_synopsis_matches_the_parser():
+    """Each subcommand has one synopsis line in the README's CLI section
+    that names exactly the options the parser accepts."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    synopsis = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        words = line.split()
+        if words[:1] == ["modsweep"]:
+            assert words[1] not in synopsis, words[1]
+            synopsis[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(synopsis) == set(commands.choices)
+    for name, parser in commands.choices.items():
+        assert synopsis[name] == _flags(parser), name

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from modsweep import (
+    CommunityAggregates,
     Graph,
     IllegalStateError,
     Partition,
@@ -24,6 +25,7 @@ from modsweep import (
     resolution,
     singleton_partition,
 )
+from modsweep.rational import positive_fraction
 
 from conftest import (
     TWO_TRIANGLES_EDGES,
@@ -32,6 +34,7 @@ from conftest import (
     relabelled,
     windmill_edges,
     windmill_labels,
+    zero_pairs,
 )
 
 
@@ -43,14 +46,14 @@ class TestResolution:
         eng = SweepEngine(triangle)
         eng.merge_step()
         eng.merge_step()
-        assert eng.community_count == 1
+        assert len(eng.partition()) == 1
         assert eng.resolution() == 0
 
     def test_component_partition_is_zero(self, two_triangles):
         eng = SweepEngine(two_triangles)
         while eng.resolution() > 0:
             eng.merge_step()
-        assert eng.community_count == 2
+        assert len(eng.partition()) == 2
         assert eng.resolution() == 0
 
     def test_matches_partition_resolution_throughout(self):
@@ -70,18 +73,18 @@ class TestMergeStep:
         eng = SweepEngine(triangle)
         t = eng.resolution()
         assert t == Fraction(3, 2)
-        before = eng.q_at(t)
+        before = modularity(triangle, eng.partition(), t)
         assert before == Fraction(-1, 2)
         pair = eng.merge_step()
         assert pair == (0, 1)  # smallest pair wins the tie-break
-        assert eng.q_at(t) == before
+        assert modularity(triangle, eng.partition(), t) == before
 
     def test_triangle_symmetry_keeps_pair_in_zero_set(self, triangle):
         eng = SweepEngine(triangle)
         eng.merge_step()
         # the merged pair {0,1} against {2} still sits at ratio 3/2
         assert eng.resolution() == Fraction(3, 2)
-        assert eng.zero_pairs() == [(0, 2)]
+        assert zero_pairs(triangle, eng.partition(), eng.resolution()) == [(0, 2)]
 
     def test_alpha_increment(self):
         rng = random.Random(7)
@@ -89,13 +92,14 @@ class TestMergeStep:
             g = random_graph(rng, rng.randint(2, 12), connected=True)
             eng = SweepEngine(g)
             while eng.resolution() > 0:
-                pair = min(eng.zero_pairs())
+                pair = min(zero_pairs(g, eng.partition(), eng.resolution()))
                 da = Fraction(eng.deg[pair[0]], g.z)
                 db = Fraction(eng.deg[pair[1]], g.z)
-                alpha_before = eng.alpha()
+                alpha_before = CommunityAggregates.from_partition(g, eng.partition()).alpha()
                 assert eng.merge_step() == pair
-                assert eng.alpha() == alpha_before + 2 * da * db
-                assert eng.alpha() > alpha_before
+                alpha = CommunityAggregates.from_partition(g, eng.partition()).alpha()
+                assert alpha == alpha_before + 2 * da * db
+                assert alpha > alpha_before
 
     def test_zero_set_strictly_shrinks(self):
         rng = random.Random(11)
@@ -104,10 +108,10 @@ class TestMergeStep:
             eng = SweepEngine(g)
             while eng.resolution() > 0:
                 t = eng.resolution()
-                size_before = len(eng.zero_pairs(t))
+                size_before = len(zero_pairs(g, eng.partition(), t))
                 assert size_before > 0
                 eng.merge_step()
-                assert len(eng.zero_pairs(t)) < size_before
+                assert len(zero_pairs(g, eng.partition(), t)) < size_before
 
     def test_score_conserved_on_random_graphs(self):
         rng = random.Random(13)
@@ -116,10 +120,10 @@ class TestMergeStep:
             eng = SweepEngine(g)
             while eng.resolution() > 0:
                 t = eng.resolution()
-                before = eng.q_at(t)
+                before = modularity(g, eng.partition(), t)
                 eng.merge_step()
-                assert eng.q_at(t) == before
-                assert eng.community_count == len(eng.partition())
+                assert modularity(g, eng.partition(), t) == before
+                assert eng.n - eng.merges == len(eng.partition())
 
     def test_illegal_when_nothing_to_merge(self, triangle):
         eng = SweepEngine(triangle)
@@ -133,7 +137,7 @@ class TestResolutionSweep:
     def test_triangle_collapses_in_one_sweep(self, triangle):
         eng = SweepEngine(triangle)
         rec = eng.resolution_sweep()
-        assert eng.community_count == 1
+        assert len(eng.partition()) == 1
         assert rec.t == 0.0
         assert rec.k == 1
 
@@ -142,7 +146,7 @@ class TestResolutionSweep:
         assert eng.resolution() == Fraction(7, 2)
         rec = eng.resolution_sweep()
         assert rec.t_exact == Fraction(7, 3)
-        assert eng.community_count == 4
+        assert len(eng.partition()) == 4
 
     def test_resolution_strictly_drops(self):
         rng = random.Random(17)
@@ -164,15 +168,17 @@ class TestResolutionSweep:
             eng = SweepEngine(g)
             while eng.resolution() > 0:
                 t_old = eng.resolution()
-                q_old = eng.q_at(t_old)
+                q_old = modularity(g, eng.partition(), t_old)
                 eng.resolution_sweep()
                 t_new = eng.resolution()
                 if t_new == 0:
                     break
-                assert eng.q_at(t_new) == q_old + eng.alpha() * (t_old - t_new)
+                q_new = modularity(g, eng.partition(), t_new)
+                alpha = CommunityAggregates.from_partition(g, eng.partition()).alpha()
+                assert q_new == q_old + alpha * (t_old - t_new)
                 # float sanity at the documented tolerance
-                assert float(eng.q_at(t_new)) == pytest.approx(
-                    float(q_old) + float(eng.alpha()) * float(t_old - t_new), abs=1e-12
+                assert float(q_new) == pytest.approx(
+                    float(q_old) + float(alpha) * float(t_old - t_new), abs=1e-12
                 )
 
     def test_score_strictly_improves_below_the_sweep(self):
@@ -182,9 +188,9 @@ class TestResolutionSweep:
             eng = SweepEngine(g)
             s = Fraction(1, 100)  # far below any live resolution
             while eng.resolution() > s:
-                before = eng.q_at(s)
+                before = modularity(g, eng.partition(), s)
                 eng.resolution_sweep()
-                assert eng.q_at(s) > before
+                assert modularity(g, eng.partition(), s) > before
 
 
 class TestDetect:
@@ -257,8 +263,11 @@ class TestDetect:
 
     def test_rejects_non_numeric_t_min(self, karate):
         g, _ = karate
-        with pytest.raises(ValueError, match="t_min must be a number"):
-            detect_communities(g, "1/0")
+        for t_min in ("1/0", None):
+            with pytest.raises(ValueError, match="t_min must be a number"):
+                detect_communities(g, t_min)
+        with pytest.raises(ValueError, match="t must be a number"):
+            positive_fraction(None)
 
     def test_float_t_min_means_its_decimal(self, karate):
         """Karate reaches t = 13/5 exactly; the binary value of 2.6 lies just
@@ -297,7 +306,7 @@ class TestExactTieHandling:
         assert Fraction(z, a) != Fraction(z, b)
         eng = SweepEngine(g)
         assert eng.resolution() == Fraction(z, b)
-        assert eng.zero_pairs() == [(2, 3)]
+        assert zero_pairs(g, eng.partition(), eng.resolution()) == [(2, 3)]
         # despite (0, 1) being lexicographically first with an equal float
         # key, the exact maximum pair merges first
         assert eng.merge_step() == (2, 3)
@@ -379,6 +388,40 @@ class TestCounters:
         while eng.resolution() > 0:
             eng.resolution_sweep()
         assert (eng.merges, eng.heap_pushes, eng.stale_pops, eng.max_rewired) == expected
+
+
+class TestBookkeeping:
+    def test_running_sums_match_the_kernel(self):
+        """After every merge the engine's internal weight, squared-degree sum
+        and community count equal the aggregate kernel's on its partition,
+        and every trace float is the kernel's exact value, correctly rounded,
+        with weights up to 2**70."""
+        rng = random.Random(43)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 12), max_w=rng.choice((4, 2**40, 2**70)))
+            eng = SweepEngine(g)
+
+            def kernel():
+                agg = CommunityAggregates.from_partition(g, eng.partition())
+                assert eng.w_internal == sum(agg.internal)
+                assert eng.deg_sq == sum(d * d for d in agg.block_degree)
+                assert eng.n - eng.merges == agg.k
+                return agg
+
+            while True:
+                rec = eng.record_trace()
+                agg = kernel()
+                t = rec.t_exact
+                assert t == agg.resolution() and rec.t == float(t) and rec.k == agg.k
+                q_t = agg.score(t) if t else Fraction(sum(agg.internal), agg.z)
+                assert rec.q_t == float(q_t)
+                assert rec.q_1 == float(agg.score(1))
+                assert rec.alpha == float(agg.alpha())
+                if t == 0:
+                    break
+                while eng.resolution() == t:
+                    eng.merge_step()
+                    kernel()
 
 
 class TestQuotientRestart:

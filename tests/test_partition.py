@@ -10,6 +10,7 @@ from modsweep import (
     Graph,
     Partition,
     compose,
+    complete_binary_tree,
     format_partition,
     modularity,
     parse_partition,
@@ -87,6 +88,13 @@ class TestRefineConnected:
 
     def test_whole_set_of_connected_graph(self, barbell):
         assert len(refine_connected(barbell, Partition([0] * 6))) == 1
+
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_partition_of_another_vertex_set_rejected(self, n):
+        g = complete_binary_tree(3)
+        assert g.n == 15
+        with pytest.raises(ValueError, match="does not cover"):
+            refine_connected(g, Partition([0] * n))
 
     def test_never_lowers_score(self):
         rng = random.Random(9)

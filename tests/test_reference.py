@@ -24,7 +24,7 @@ from modsweep import (
     singleton_partition,
 )
 
-from conftest import full_sweep
+from conftest import full_sweep, zero_pairs
 
 
 def reference_sweep(graph: Graph, t_min: Fraction
@@ -39,8 +39,9 @@ def reference_sweep(graph: Graph, t_min: Fraction
     while agg.resolution() >= t_min:
         t = agg.resolution()
         while agg.resolution() == t:
-            a, b = min((a, b) for a, b, _ in agg.pairs() if agg.excess(a, b, t) == 0)
-            pairs.append((part.blocks[a][0], part.blocks[b][0]))
+            pair = zero_pairs(graph, part, t)[0]
+            pairs.append(pair)
+            a, b = (part.assign[v] for v in pair)
             part = compose(part, Partition([a if c == b else c for c in range(len(part))]))
             agg = CommunityAggregates.from_partition(graph, part)
         trace.append((agg.resolution(), len(part)))
@@ -111,7 +112,7 @@ def test_row_float_collision_resolved_exactly():
     assert w / g.deg[1] == w / g.deg[2] == 1.0
     assert Fraction(w, g.deg[1]) < Fraction(w, g.deg[2])
     eng = SweepEngine(g)
-    assert eng.zero_pairs() == [(0, 2)]
+    assert zero_pairs(g, eng.partition(), eng.resolution()) == [(0, 2)]
     assert eng.merge_step() == (0, 2)
     assert eng.merge_step() == (0, 1)
     assert eng.resolution() == 0
@@ -138,11 +139,11 @@ def test_weights_beyond_float_range():
     g, _ = load_edge_list(f"a b {10**400}\nc d 1\n")
     eng = SweepEngine(g)
     assert eng.resolution() == 2 * 10**400 + 2
-    steps = [(eng.resolution(), eng.community_count)]
+    steps = [(eng.resolution(), len(eng.partition()))]
     pairs = []
     while eng.resolution() > 0:
         pairs.append(eng.merge_step())
-        steps.append((eng.resolution(), eng.community_count))
+        steps.append((eng.resolution(), len(eng.partition())))
     assert pairs == [(2, 3), (0, 1)]
     ref_part, ref_trace, ref_pairs = reference_sweep(g, Fraction(1, 10**6))
     assert eng.partition() == ref_part
