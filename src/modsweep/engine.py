@@ -11,13 +11,11 @@ which point the partition is merge-stable (no coarsening scores higher) at
 every resolution down to ``t_min``.
 
 Exactness: all control flow compares integer ratios by cross multiplication.
-Heap keys come from one function, ``_exact_key``: the correctly rounded
-float of a ratio where no other ratio the heap can hold lies within two
-units in its last place, and the exact fraction otherwise.  No key exceeds
-1, since a pair's weight is at most either endpoint's degree, so none
-overflows.  ``TraceRecord.t`` is a plain float, so ``record_trace`` (and
-hence ``detect_communities``) still raises ``OverflowError`` once a
-resolution exceeds the float range.
+A heap key is ``-floor(ratio * B**2)``, from ``_key``, where B bounds the
+ratio's denominator: distinct ratios differ by at least 1/B**2, so the
+integer keys order them exactly.  ``TraceRecord.t`` is a plain float, so
+``record_trace`` (and hence ``detect_communities``) still raises
+``OverflowError`` once a resolution exceeds the float range.
 
 Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
 Each pair is filed in the candidate row of its owner, the endpoint of
@@ -32,12 +30,10 @@ it reaches the front of its row.
 Two levels: a row is a heap ordered by row key, then partner id.  Within a
 row the partner order is the lexicographic order of the pairs, so a current
 front is the row's lexicographically smallest pair at its exact maximum
-ratio.  A global heap holds one entry per row for that pair: the rounded
-float of ``w / (d_low * d_owner)`` (``z`` is common to every ratio and left
-out), the exact key of the same ratio, then the pair.  The exact key is
-compared only where two floats are equal, so the heap orders rows by
-largest ratio, then smallest pair, and its front is the lexicographically
-smallest zero pair overall.
+ratio.  A global heap holds one entry per row for that pair: the key of
+``w / (d_low * d_owner)`` (``z`` is common to every ratio and left out),
+then the pair.  So the heap orders rows by largest ratio, then smallest
+pair, and its front is the lexicographically smallest zero pair overall.
 
 Slots: internal arrays are indexed by slot.  A merge keeps the slot of the
 endpoint whose adjacency row is larger and moves only the smaller row into
@@ -68,7 +64,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 from typing import NamedTuple
 
 from .errors import IllegalStateError
@@ -77,27 +72,17 @@ from .modularity import is_merge_stable
 from .partition import Partition
 from .rational import positive_fraction
 
-# bound on p * B for a key num/den, with p its reduced numerator and B a bound
-# on every denominator in its heap, below which the key is a float
-_SAFE = (1 << 50) - 1
 
-
-def _exact_key(num: int, den: int, safe: int) -> float | Fraction:
+def _key(num: int, den: int, scale: int) -> int:
     """Heap key that orders ratios num/den exactly, largest first.
 
-    ``safe`` is ``_SAFE // B``, where B bounds every denominator the heap
-    holds: z for row keys w/d_low, z**2 for global keys w/(d_low*d_owner).
-    With p the reduced numerator, p <= safe means p * B < 2**50.  Any other
-    ratio with denominator at most B then differs from num/den by at least
-    (num/den) / (p * B) > 2**-50 * num/den, more than two units in the last
-    place of the float, so the float orders num/den exactly against other
-    floats and fractions alike (Python compares the two exactly).  Beyond
-    that bound the key is the exact fraction.  Equal ratios share a reduced
-    form and hence a key.
+    ``scale`` is B*B, where B bounds every denominator the heap holds: z
+    for row keys w/d_low, z**2 for global keys w/(d_low*d_owner).  Two
+    distinct ratios with denominators at most B differ by at least 1/B**2,
+    so their scaled floors differ by at least 1; equal ratios get equal
+    keys.
     """
-    if num <= safe or num // gcd(num, den) <= safe:
-        return -(num / den)
-    return -Fraction(num, den)
+    return -(num * scale // den)
 
 
 class TraceRecord(NamedTuple):
@@ -136,9 +121,9 @@ class SweepEngine:
     diagonal summed; ``deg_sq`` is the sum of squared community degrees.
     The trace reads these two sums; any other score of the partition comes
     from ``CommunityAggregates`` on ``partition()``.  ``_rows[slot]`` is
-    its candidate row, a heap of ``(row key, partner id, partner slot,
-    d_low, w)``, or None before its first pair is filed (see the module
-    docstring).  The sweep never reads the input ``graph`` after
+    its candidate row, a heap of ``(integer key of w/d_low, partner id,
+    partner slot, d_low, w)``, or None before its first pair is filed (see
+    the module docstring).  The sweep never reads the input ``graph`` after
     construction; only ``check_stable`` does, to certify the result.
 
     Counters, all plain ints: ``merges``; ``heap_pushes``, the entries
@@ -167,8 +152,8 @@ class SweepEngine:
         self.stale_pops = 0
         self.max_rewired = 0
         self.trace: list[TraceRecord] = []
-        safe = self._safe = _SAFE // z
-        gsafe = self._gsafe = _SAFE // (z * z)
+        scale = self._scale = z * z
+        gscale = self._gscale = scale * scale
         rows: list[list | None] = [None] * n
         heap = []
         owned = []
@@ -177,20 +162,19 @@ class SweepEngine:
             for v, w in adj[u].items():
                 dv = deg[v]
                 if dv < du or (dv == du and v < u):
-                    owned.append((_exact_key(w, dv, safe), v, v, dv, w))
+                    owned.append((_key(w, dv, scale), v, v, dv, w))
             if owned:
                 # a copy is allocated at its exact size
                 row = rows[u] = owned[:]
                 owned.clear()
                 heapify(row)
                 _, v, _, d, w = row[0]
-                den = d * du
                 a, b = (v, u) if v < u else (u, v)
-                heap.append((-(w / den), _exact_key(w, den, gsafe), a, b, u, 0))
+                heap.append((_key(w, d * du, gscale), a, b, u, 0))
         heapify(heap)
         self._rows = rows
         self._stamp = [0] * n
-        # (float key, exact key, a, b, slot, stamp) for each row's front pair
+        # (key, a, b, slot, stamp) for each row's front pair
         self._heap = heap
         # the resolution last read; no current pair may exceed it
         self._t_num = 1
@@ -213,7 +197,7 @@ class SweepEngine:
         rows = self._rows
         deg = self.deg
         while heap:
-            _, _, _, _, o, stamp = heap[0]
+            _, _, _, o, stamp = heap[0]
             if stamps[o] != stamp:
                 heappop(heap)
                 self.stale_pops += 1
@@ -283,7 +267,7 @@ class SweepEngine:
         dv = deg[pv]
         if dv > ds or (dv == ds and v > s):
             s, v, pv, dv = v, s, ps, ds
-        e = (_exact_key(w, dv, self._safe), pv, v, dv, w)
+        e = (_key(w, dv, self._scale), pv, v, dv, w)
         self.heap_pushes += 1
         row = self._rows[s]
         if row is None:
@@ -317,9 +301,8 @@ class SweepEngine:
         stamps[o] = stamp = stamps[o] + 1
         po = self._pid[o]
         _, p, _, d, w = e
-        den = d * deg[po]
         lo, hi = (po, p) if po < p else (p, po)
-        heappush(self._heap, (-(w / den), _exact_key(w, den, self._gsafe), lo, hi, o, stamp))
+        heappush(self._heap, (_key(w, d * deg[po], self._gscale), lo, hi, o, stamp))
         self.heap_pushes += 1
 
     def _merge(self, a: int, b: int, o: int) -> None:
@@ -386,7 +369,7 @@ class SweepEngine:
         tn, _ = self._refill()
         if tn == 0:
             raise IllegalStateError("resolution is zero, there is nothing to merge")
-        _, _, a, b, o, _ = heappop(self._heap)
+        _, a, b, o, _ = heappop(self._heap)
         self._merge(a, b, o)
         return a, b
 
@@ -403,12 +386,12 @@ class SweepEngine:
         refill = self._refill
         merge = self._merge
         # each refill leaves a current front at the exact maximum ratio, so
-        # the resolution holds while that front keeps its exact key
-        k = heap[0][1]
+        # the resolution holds while that front keeps its key
+        k = heap[0][0]
         while True:
-            _, _, a, b, o, _ = heappop(heap)
+            _, a, b, o, _ = heappop(heap)
             merge(a, b, o)
-            if not refill()[0] or heap[0][1] != k:
+            if not refill()[0] or heap[0][0] != k:
                 break
         return self.record_trace()
 

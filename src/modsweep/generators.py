@@ -104,8 +104,6 @@ def tree_bound(z: int) -> TreeBound:
     if z < 2 or z % 2:
         raise ValueError("a tree's total weight is even and at least 2")
     s = (1 + math.isqrt(1 + 2 * z)) // 2
-    if s < 1:
-        s = 1
     return TreeBound(z, s, float(1 - tree_score_profile(s, z)))
 
 

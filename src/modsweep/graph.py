@@ -56,15 +56,20 @@ class Graph:
     def from_edge_list(cls, edges: Iterable[tuple[int, int, int]], n: int | None = None) -> "Graph":
         """Build a graph from (u, v, w) triples.
 
-        Duplicate triples accumulate.  A triple with ``u == v`` adds ``2*w``
-        to the stored diagonal, mirroring the edge-list loop convention.
+        Each weight must be a positive int.  Duplicate triples accumulate.
+        A triple with ``u == v`` adds ``2*w`` to the stored diagonal,
+        mirroring the edge-list loop convention.
         """
         edges = list(edges)
         if n is None:
+            if not edges:
+                raise ValueError("an empty edge list needs a vertex count n")
             n = 1 + max(max(u, v) for u, v, _ in edges)
         adj: list[dict[int, int]] = [dict() for _ in range(n)]
         try:
             for u, v, w in edges:
+                if type(w) is not int or w <= 0:
+                    raise ValueError(f"edge {(u, v, w)} has a weight that is not a positive integer")
                 if u == v:
                     adj[u][u] = adj[u].get(u, 0) + 2 * w
                 else:

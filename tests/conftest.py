@@ -133,10 +133,10 @@ def zero_pairs(graph: Graph, part: Partition, t) -> list[tuple[int, int]]:
 
 
 def full_sweep(graph: Graph, t_min: Fraction | None = None
-               ) -> tuple[list[tuple[int, int]], list[Fraction]]:
-    """Every ``merge_step`` pair and every traced ``t_exact`` of the sweep
-    that ``detect_communities`` runs down to ``t_min``, by default down to
-    resolution 0."""
+               ) -> tuple[list[tuple[int, int]], list[tuple[Fraction, int]]]:
+    """Every ``merge_step`` pair and every traced ``(t_exact, k)`` of the
+    sweep that ``detect_communities`` runs down to ``t_min``, by default down
+    to resolution 0."""
     eng = SweepEngine(graph)
     eng.record_trace()
     pairs = []
@@ -145,4 +145,4 @@ def full_sweep(graph: Graph, t_min: Fraction | None = None
         while eng.resolution() == t:
             pairs.append(eng.merge_step())
         eng.record_trace()
-    return pairs, [r.t_exact for r in eng.trace]
+    return pairs, [(r.t_exact, r.k) for r in eng.trace]

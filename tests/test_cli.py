@@ -128,6 +128,16 @@ class TestVerify:
         assert "RESULT PASS" in out
         assert "merge_stable PASS" in out
 
+    def test_exact_report(self, capsys, tmp_path, barbell_file):
+        part = tmp_path / "p.txt"
+        run_cli(capsys, "detect", barbell_file, "--output", str(part))
+        code, out, _ = run_cli(capsys, "verify", barbell_file, str(part), "--t", "0.75",
+                               "--exact-report")
+        assert code == 0
+        assert out.splitlines()[0] == "t_exact 3/4"
+        _, plain, _ = run_cli(capsys, "verify", barbell_file, str(part), "--t", "0.75")
+        assert out.splitlines()[1:] == plain.splitlines()
+
     def test_unstable_partition_fails(self, capsys, tmp_path, barbell_file):
         part = tmp_path / "p.txt"
         part.write_text("".join(f"{v} {i}\n" for i, v in enumerate("abcdef")))
@@ -175,6 +185,15 @@ class TestOracleCommand:
         assert code == 0
         assert "best_q 0.357142857143" in out
         assert "partitions_examined 203" in out
+
+    def test_output_file(self, capsys, tmp_path, barbell_file):
+        path = tmp_path / "best.txt"
+        _, printed, _ = run_cli(capsys, "oracle", barbell_file, "--t", "1")
+        code, out, _ = run_cli(capsys, "oracle", barbell_file, "--t", "1", "--output", str(path))
+        assert code == 0
+        summary = printed.splitlines()[:2]
+        assert out.splitlines() == summary
+        assert path.read_text().splitlines() == printed.splitlines()[2:]
 
 
 class TestMincut:

@@ -3,8 +3,10 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modsweep import (
     CommunityAggregates,
@@ -25,6 +27,7 @@ from modsweep import (
     resolution,
     singleton_partition,
 )
+from modsweep.engine import _key
 from modsweep.rational import positive_fraction
 
 from conftest import (
@@ -328,6 +331,29 @@ class TestExactTieHandling:
         assert eng.merge_step() == (0, 1)
         assert eng.resolution() == 0
 
+    @settings(derandomize=True, max_examples=200)
+    @given(st.data())
+    def test_key_orders_bounded_ratios_exactly(self, data):
+        """For ratios n/d with 0 < n <= B and 1 <= d <= B, keys scaled by B*B
+        order the ratios exactly, largest first, and equal ratios share a key.
+        Half the draws are Farey neighbours, whose gap is exactly 1/(d1*d2)."""
+        bound = data.draw(st.one_of(st.integers(2, 12), st.integers(2, 2**70)))
+        if data.draw(st.booleans()):
+            d1 = data.draw(st.integers(2, bound))
+            n1 = data.draw(st.integers(1, d1 - 1))
+            g = gcd(n1, d1)
+            n1, d1 = n1 // g, d1 // g
+            # the largest d2 <= B with n2*d1 - n1*d2 == 1
+            r = -pow(n1, -1, d1) % d1
+            d2 = r + (bound - r) // d1 * d1
+            n2 = (1 + n1 * d2) // d1
+            assert n2 * d1 - n1 * d2 == 1 and 0 < n2 <= d2 <= bound
+        else:
+            n1, d1, n2, d2 = (data.draw(st.integers(1, bound)) for _ in range(4))
+        k1, k2 = (_key(n, d, bound * bound) for n, d in ((n1, d1), (n2, d2)))
+        exact = (n1 * d2 > n2 * d1) - (n1 * d2 < n2 * d1)
+        assert (k2 > k1) - (k2 < k1) == exact
+
 
 class TestGoldenMergeSequence:
     """sha256 of (merge pairs, t_exact trace) of the sweep down to resolution
@@ -336,7 +362,7 @@ class TestGoldenMergeSequence:
     @staticmethod
     def digest(graph):
         pairs, trace = full_sweep(graph)
-        text = repr((pairs, [(t.numerator, t.denominator) for t in trace]))
+        text = repr((pairs, [(t.numerator, t.denominator) for t, _ in trace]))
         return hashlib.sha256(text.encode()).hexdigest()
 
     def test_karate(self, karate):

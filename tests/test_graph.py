@@ -1,6 +1,8 @@
 """Graph construction, loading, quotients, components, and minimum cuts."""
 
+import io
 import random
+import re
 
 import pytest
 
@@ -66,6 +68,11 @@ class TestLoadEdgeList:
         with pytest.raises(FormatError):
             load_edge_list("# nothing here\n")
 
+    def test_iterable_of_lines(self):
+        g, labels = load_edge_list(io.StringIO("a b 2\n# comment\nb c\n"))
+        assert labels == ["a", "b", "c"]
+        assert g.adj == [{1: 2}, {0: 2, 2: 1}, {1: 1}]
+
     def test_karate_fixture_totals(self, karate):
         g, labels = karate
         # degree total must equal twice the number of (unweighted) edge lines
@@ -86,6 +93,35 @@ class TestGraphInvariants:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             Graph([{1: 0}, {0: 0}])
+
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Graph([])
+
+    def test_neighbour_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="neighbour 1 of vertex 0 out of range"):
+            Graph([{1: 1}])
+
+    def test_non_int_weight_rejected(self):
+        with pytest.raises(ValueError, match=r"m\(0,1\)=1\.5 is not a positive integer"):
+            Graph([{1: 1.5}, {0: 1.5}])
+
+    @pytest.mark.parametrize("edges, bad", [
+        ([(0, 1, -1), (0, 1, 2)], (0, 1, -1)),
+        ([(0, 1, 2), (0, 1, -1)], (0, 1, -1)),
+        ([(0, 1, True)], (0, 1, True)),
+        ([(0, 1, 0)], (0, 1, 0)),
+        ([(0, 1, 1.0)], (0, 1, 1.0)),
+    ])
+    def test_each_edge_weight_checked(self, edges, bad):
+        """Each triple is checked, not the accumulated weight, as the
+        edge-list parser checks each line."""
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad} has a weight")):
+            Graph.from_edge_list(edges)
+
+    def test_empty_edge_list_needs_vertex_count(self):
+        with pytest.raises(ValueError, match="needs a vertex count"):
+            Graph.from_edge_list([])
 
     def test_edge_beyond_vertex_count_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 5, 1\).*n=3"):

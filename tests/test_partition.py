@@ -1,5 +1,6 @@
 """Partition semantics, the refinement order, and file I/O."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -131,6 +132,14 @@ class TestPartitionIO:
     def test_double_assignment_rejected(self):
         with pytest.raises(FormatError):
             parse_partition("a 0\na 1\nb 0\n", ["a", "b"])
+
+    def test_malformed_line_rejected(self):
+        with pytest.raises(FormatError, match="line 2: expected 'vertexLabel communityId'"):
+            parse_partition("a 0\nb 0 extra\n", ["a", "b"])
+
+    def test_iterable_of_lines(self):
+        p = parse_partition(io.StringIO("a x\n# comment\nb y\nc x\n"), ["a", "b", "c"])
+        assert p.assign == [0, 1, 0]
 
 
 class TestCompose:
