@@ -37,8 +37,8 @@ pair, and its front is the lexicographically smallest zero pair overall.
 
 Slots: internal arrays are indexed by slot.  A merge keeps the slot of the
 endpoint whose adjacency row is larger and moves only the smaller row into
-it.  The merged community's public id, which every argument and result
-uses, stays its smallest member id.
+it.  A community's public id, used by every argument and result, is its
+smallest member id; an absorbed id links to its absorber.
 
 Entries are invalidated lazily.  A row entry carries the low endpoint's
 degree and the pair weight it was keyed with, and is current while that
@@ -144,8 +144,8 @@ class SweepEngine:
         deg = self.deg = list(graph.deg)
         ids = list(range(n))
         self._pid = ids
-        # members as circular lists: a merge splices two cycles in O(1)
-        self._next = ids[:]
+        # merge forest: an absorbed id links to its absorber, a smaller id
+        self._parent = ids[:]
         self.deg_sq = sum(d * d for d in deg)
         self.merges = 0
         self.heap_pushes = 0
@@ -221,18 +221,12 @@ class SweepEngine:
         return Fraction(num, den)
 
     def partition(self) -> Partition:
-        raw = [0] * self.n
-        nxt = self._next
-        for c, d in enumerate(self.deg):
-            if not d:
-                continue
-            v = c
-            while True:
-                raw[v] = c
-                v = nxt[v]
-                if v == c:
-                    break
-        return Partition(raw)
+        """The current communities: every merge link points to a smaller
+        id, so one forward pass resolves each id to its root."""
+        root = self._parent[:]
+        for v, p in enumerate(root):
+            root[v] = root[p]
+        return Partition(root)
 
     def record_trace(self) -> TraceRecord:
         """Append a snapshot of the current state at its own resolution.
@@ -342,8 +336,7 @@ class SweepEngine:
         self.deg_sq += 2 * da * db
         deg[a] = da + db
         deg[b] = 0
-        nxt = self._next
-        nxt[a], nxt[b] = nxt[b], nxt[a]
+        self._parent[b] = a
         self._stamp[small] += 1  # retires the smaller side's published entry
         adj[small] = rows[small] = None
         self.merges += 1

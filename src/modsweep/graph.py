@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from .errors import DisconnectedError, FormatError, IsolatedVertexError
 from .measures import CommunityAggregates
-from .partition import Partition, refine_connected
+from .partition import Partition, _fields, refine_connected
 
 
 class Graph:
@@ -100,18 +100,9 @@ def load_edge_list(source) -> tuple[Graph, list[str]]:
     ``2*w`` on the diagonal.  Labels are assigned dense indices in order of
     first appearance; the returned list maps index back to label.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
     index: dict[str, int] = {}
-    labels: list[str] = []
     edges: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _fields(source):
         if len(parts) not in (2, 3):
             raise FormatError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
         w = 1
@@ -122,17 +113,12 @@ def load_edge_list(source) -> tuple[Graph, list[str]]:
                 raise FormatError(f"line {lineno}: weight {parts[2]!r} is not an integer") from None
             if w <= 0:
                 raise FormatError(f"line {lineno}: weight must be positive, got {w}")
-        uv = []
-        for name in parts[:2]:
-            i = index.get(name)
-            if i is None:
-                i = index[name] = len(labels)
-                labels.append(name)
-            uv.append(i)
-        edges.append((uv[0], uv[1], w))
+        u = index.setdefault(parts[0], len(index))
+        v = index.setdefault(parts[1], len(index))
+        edges.append((u, v, w))
     if not edges:
         raise FormatError("no edges found in input")
-    return Graph.from_edge_list(edges, n=len(labels)), labels
+    return Graph.from_edge_list(edges, n=len(index)), list(index)
 
 
 def format_edge_list(graph: Graph, labels: list[str] | None = None) -> str:
@@ -177,17 +163,16 @@ def min_cut(graph: Graph) -> int:
     crossing weight ``sum(m(u, v) for u in S, v not in S)``.  Under the
     ordered-pair total this crossing mass is counted twice, so
     ``z * edge_fraction(S x complement) == 2 * min_cut``.  Self-loops are
-    ignored.
+    ignored.  DisconnectedError comes from the first maximum-adjacency
+    pass, when it runs out of vertices to add.
     """
     if graph.n < 2:
         raise ValueError("minimum cut needs at least two vertices")
-    if len(connected_components(graph)) > 1:
-        raise DisconnectedError("graph is not connected")
     adj: list[dict[int, int]] = [
         {v: w for v, w in nbrs.items() if v != u} for u, nbrs in enumerate(graph.adj)
     ]
     alive = graph.n
-    best: int | None = None
+    best = graph.z
     while alive > 1:
         # maximum-adjacency ordering from vertex 0, which leads every pass
         # and so is never the last vertex, the one contracted away
@@ -195,23 +180,22 @@ def min_cut(graph: Graph) -> int:
         key = [0] * graph.n
         heap: list[tuple[int, int]] = [(0, 0)]
         prev = last = 0
-        lastkey = 0
         count = 0
         while count < alive:
             while True:
+                if not heap:
+                    raise DisconnectedError("graph is not connected")
                 negk, v = heapq.heappop(heap)
                 if not added[v] and key[v] == -negk:
                     break
             added[v] = True
             count += 1
             prev, last = last, v
-            lastkey = -negk
             for u, w in adj[v].items():
                 if not added[u]:
                     key[u] += w
                     heapq.heappush(heap, (-key[u], u))
-        if best is None or lastkey < best:
-            best = lastkey
+        best = min(best, key[last])
         # contract last into prev
         adj[prev].pop(last, None)
         adj[last].pop(prev, None)
@@ -222,5 +206,4 @@ def min_cut(graph: Graph) -> int:
             adj[u][prev] = nw
         adj[last] = {}
         alive -= 1
-    assert best is not None
     return best

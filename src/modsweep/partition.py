@@ -7,7 +7,7 @@ output is reproducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import FormatError
 
@@ -108,23 +108,25 @@ def format_partition(partition: Partition, labels: list[str] | None = None) -> s
     return "\n".join(f"{labels[v]} {c}" for v, c in enumerate(partition.assign)) + "\n"
 
 
+def _fields(source) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield (line number, line, fields) for each line of a text or an
+    iterable of lines that has fields; ``#`` starts a comment."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    for lineno, raw in enumerate(lines, 1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, raw, parts
+
+
 def parse_partition(source, labels: list[str]) -> Partition:
     """Read a partition file for a graph with the given label table.
 
     Every vertex must be assigned exactly once; community ids are arbitrary
     tokens and get renumbered densely.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
     index = {lab: i for i, lab in enumerate(labels)}
     raw: list = [None] * len(labels)
-    for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in _fields(source):
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'vertexLabel communityId'")
         v = index.get(parts[0])

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -280,3 +281,19 @@ def test_readme_synopsis_matches_the_parser():
     assert set(synopsis) == set(commands.choices)
     for name, parser in commands.choices.items():
         assert synopsis[name] == _flags(parser), name
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """The README's Library example runs as written on the bundled karate
+    file, read through a file handle whose lines end in a newline."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    code = readme.read_text().split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    karate = files("modsweep").joinpath("data/karate.edges").read_text()
+    (tmp_path / "graph.edges").write_text(karate)
+    monkeypatch.chdir(tmp_path)
+    ns: dict = {}
+    exec(code, ns)
+    assert len(ns["part"]) == 4
+    assert round(float(ns["ms"].modularity(ns["g"], ns["part"], 1)), 3) == 0.405
+    assert ns["ok"] is True
+    assert ns["report"].all_pass

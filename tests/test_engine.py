@@ -134,6 +134,8 @@ class TestMergeStep:
         eng.merge_step()
         with pytest.raises(IllegalStateError):
             eng.merge_step()
+        with pytest.raises(IllegalStateError):
+            eng.resolution_sweep()
 
 
 class TestResolutionSweep:
@@ -297,33 +299,34 @@ class TestDetect:
 
 
 class TestExactTieHandling:
-    def test_float_key_collision_resolved_exactly(self):
-        """Two pair ratios that round to the same float but differ exactly:
-        the engine must treat only the true maximum as mergeable."""
+    def test_ratios_closer_than_float_resolution_merge_larger_first(self):
+        """Two pair ratios closer together than a float can resolve: the
+        integer keys still order them, so only the larger ratio is in the
+        zero set and it merges first."""
         b = 2 ** 53
         a = b + 1
         g = Graph.from_edge_list([(0, 1, a), (2, 3, b)])
         z = g.z
-        # premise: the float images collide, the exact ratios do not
+        # premise: the gap is below float resolution, the ratios differ
         assert (z * a) / (a * a) == (z * b) / (b * b)
         assert Fraction(z, a) != Fraction(z, b)
         eng = SweepEngine(g)
         assert eng.resolution() == Fraction(z, b)
         assert zero_pairs(g, eng.partition(), eng.resolution()) == [(2, 3)]
-        # despite (0, 1) being lexicographically first with an equal float
-        # key, the exact maximum pair merges first
+        # (0, 1) comes first lexicographically; the larger ratio merges first
         assert eng.merge_step() == (2, 3)
         assert eng.resolution() == Fraction(z, a)
         assert eng.merge_step() == (0, 1)
         assert eng.resolution() == 0
 
-    def test_global_key_collision_resolved_exactly(self):
-        """Two row fronts whose global keys w / (d_low * d_owner) round to
-        the same float: the exact key decides, not the pair order."""
+    def test_global_keys_closer_than_float_resolution_merge_larger_first(self):
+        """Two row fronts whose global ratios w / (d_low * d_owner) are
+        closer together than a float can resolve: the integer global key
+        still merges the larger one first, ahead of the smaller pair."""
         b = 2 ** 60
         a = b + 1
         g = Graph.from_edge_list([(0, 1, a), (2, 3, b)])
-        # premise: the float images collide, the exact ratios do not
+        # premise: the gap is below float resolution, the ratios differ
         assert a / (a * a) == b / (b * b)
         assert Fraction(a, a * a) != Fraction(b, b * b)
         eng = SweepEngine(g)

@@ -57,6 +57,8 @@ class TestDaisy:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             daisy_graph(0)
+        with pytest.raises(ValueError):
+            daisy_reference_modularity(0)
 
     def test_reference_modularity_values(self):
         assert daisy_reference_modularity(1) == pytest.approx(0.613333, abs=1e-6)
@@ -90,6 +92,8 @@ class TestDaisyStablePetals:
             daisy_stable_petal_count(1, Fraction(13, 10))
         with pytest.raises(ValueError):
             daisy_stable_petal_count(1, 0)
+        with pytest.raises(ValueError):
+            daisy_stable_petal_count(0, 1)
 
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("t", [Fraction(4, 5), Fraction(1), Fraction(11, 10)])
@@ -170,6 +174,8 @@ class TestTreeBound:
             tree_bound(7)
         with pytest.raises(ValueError):
             tree_bound(0)
+        with pytest.raises(ValueError):
+            tree_score_profile(0, 10)
 
 
 class TestTreeCorePartition:
@@ -198,6 +204,8 @@ class TestTreeCorePartition:
     def test_rejects_small_heights(self):
         with pytest.raises(ValueError):
             tree_core_partition(2)
+        with pytest.raises(ValueError):
+            tree_core_modularity(2)
 
 
 class TestTreeIdentity:
@@ -243,6 +251,9 @@ class TestTreeIdentity:
             tree_modularity_identity(triangle, singleton_partition(triangle))
         with pytest.raises(ValueError):
             tree_modularity_identity(two_triangles, singleton_partition(two_triangles))
+        looped = Graph.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 2, 1)])
+        with pytest.raises(ValueError, match="self-loops"):
+            tree_modularity_identity(looped, singleton_partition(looped))
 
     def test_rejects_disconnected_blocks(self):
         g = complete_binary_tree(2)

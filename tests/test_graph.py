@@ -148,6 +148,9 @@ class TestGraphInvariants:
                 for v, w in nbrs.items():
                     remapped[back[u]][back[v]] = w
             assert remapped == g.adj
+        # an odd diagonal has no loop lines
+        with pytest.raises(ValueError):
+            format_edge_list(Graph([{0: 3}]))
 
 
 class TestQuotient:
@@ -212,6 +215,12 @@ class TestMinCut:
     def test_disconnected_rejected(self, two_triangles):
         with pytest.raises(DisconnectedError):
             min_cut(two_triangles)
+        # vertex 0's only edge is a loop
+        with pytest.raises(DisconnectedError):
+            min_cut(Graph.from_edge_list([(0, 0, 1), (1, 2, 1)]))
+        # vertex 0 lies in the larger component
+        with pytest.raises(DisconnectedError):
+            min_cut(Graph.from_edge_list([(0, 1, 1), (1, 2, 1), (3, 4, 1)]))
 
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):

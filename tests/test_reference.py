@@ -123,10 +123,11 @@ def test_engine_matches_reference_on_seeded_sparse_graphs():
         assert full_sweep(g, t_min) == (ref_pairs, ref_trace)
 
 
-def test_row_float_collision_resolved_exactly():
-    """Two pairs in the hub's row whose row keys w/d round to the same
-    float but differ exactly: the exact maximum, with the larger partner id,
-    merges first.  The row twin of the engine's global-level test."""
+def test_row_keys_closer_than_float_resolution_merge_larger_first():
+    """Two pairs in the hub's row whose row ratios w/d are closer together
+    than a float can resolve: the integer row key still merges the larger
+    one, with the larger partner id, first.  The row twin of the engine's
+    global-level test."""
     w = 2**60
     g = Graph.from_edge_list([(0, 1, w), (0, 2, w), (1, 1, 1)])
     assert g.deg[0] > g.deg[1] > g.deg[2]  # vertex 0 owns both pairs
