@@ -66,17 +66,16 @@ class Graph:
                 raise ValueError("an empty edge list needs a vertex count n")
             n = 1 + max(max(u, v) for u, v, _ in edges)
         adj: list[dict[int, int]] = [dict() for _ in range(n)]
-        try:
-            for u, v, w in edges:
-                if type(w) is not int or w <= 0:
-                    raise ValueError(f"edge {(u, v, w)} has a weight that is not a positive integer")
-                if u == v:
-                    adj[u][u] = adj[u].get(u, 0) + 2 * w
-                else:
-                    adj[u][v] = adj[u].get(v, 0) + w
-                    adj[v][u] = adj[v].get(u, 0) + w
-        except IndexError:
-            raise ValueError(f"edge {(u, v, w)} has a vertex out of range for n={n}") from None
+        for u, v, w in edges:
+            if type(w) is not int or w <= 0:
+                raise ValueError(f"edge {(u, v, w)} has a weight that is not a positive integer")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {(u, v, w)} has a vertex out of range for n={n}")
+            if u == v:
+                adj[u][u] = adj[u].get(u, 0) + 2 * w
+            else:
+                adj[u][v] = adj[u].get(v, 0) + w
+                adj[v][u] = adj[v].get(u, 0) + w
         return cls(adj)
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
@@ -156,54 +155,55 @@ def connected_components(graph: Graph) -> Partition:
     return refine_connected(graph, Partition([0] * graph.n))
 
 
+def _root(parent: list[int], v: int) -> int:
+    """Root of ``v`` in a union-find forest, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
 def min_cut(graph: Graph) -> int:
-    """Global minimum cut weight of a connected graph (Stoer-Wagner).
+    """Global minimum cut weight of a connected graph (CAPFOREST contraction).
 
     Returns the minimum over nonempty proper subsets S of the one-orientation
     crossing weight ``sum(m(u, v) for u in S, v not in S)``.  Under the
     ordered-pair total this crossing mass is counted twice, so
     ``z * edge_fraction(S x complement) == 2 * min_cut``.  Self-loops are
-    ignored.  DisconnectedError comes from the first maximum-adjacency
-    pass, when it runs out of vertices to add.
+    ignored.
+
+    Each pass is one maximum-adjacency scan (Nagamochi & Ibaraki 1992;
+    Henzinger, Noe, Schulz & Strash 2018).  ``best``, the least cut seen,
+    first drops to the least loop-free vertex degree.  An edge whose scan
+    value ``key[u]`` reaches ``best`` joins vertices no cut below ``best``
+    separates, so they are unioned, as are the scan's last two vertices,
+    which Stoer-Wagner's lemma splits at least by ``key[last]``, the
+    loop-free degree of ``last``.  ``quotient`` contracts the unions.
+    DisconnectedError comes from the first scan.
     """
     if graph.n < 2:
         raise ValueError("minimum cut needs at least two vertices")
-    adj: list[dict[int, int]] = [
-        {v: w for v, w in nbrs.items() if v != u} for u, nbrs in enumerate(graph.adj)
-    ]
-    alive = graph.n
     best = graph.z
-    while alive > 1:
-        # maximum-adjacency ordering from vertex 0, which leads every pass
-        # and so is never the last vertex, the one contracted away
+    while graph.n > 1:
+        best = min(best, min(d - graph.adj[v].get(v, 0) for v, d in enumerate(graph.deg)))
+        parent = list(range(graph.n))
         added = [False] * graph.n
         key = [0] * graph.n
         heap: list[tuple[int, int]] = [(0, 0)]
         prev = last = 0
-        count = 0
-        while count < alive:
-            while True:
-                if not heap:
-                    raise DisconnectedError("graph is not connected")
-                negk, v = heapq.heappop(heap)
-                if not added[v] and key[v] == -negk:
-                    break
+        for _ in range(graph.n):
+            while heap and added[heap[0][1]]:
+                heapq.heappop(heap)
+            if not heap:
+                raise DisconnectedError("graph is not connected")
+            v = heapq.heappop(heap)[1]
             added[v] = True
-            count += 1
             prev, last = last, v
-            for u, w in adj[v].items():
+            for u, w in graph.adj[v].items():
                 if not added[u]:
                     key[u] += w
                     heapq.heappush(heap, (-key[u], u))
-        best = min(best, key[last])
-        # contract last into prev
-        adj[prev].pop(last, None)
-        adj[last].pop(prev, None)
-        for u, w in adj[last].items():
-            adj[u].pop(last)
-            nw = adj[prev].get(u, 0) + w
-            adj[prev][u] = nw
-            adj[u][prev] = nw
-        adj[last] = {}
-        alive -= 1
+                    if key[u] >= best:
+                        parent[_root(parent, u)] = _root(parent, v)
+        parent[_root(parent, last)] = _root(parent, prev)
+        graph = quotient(graph, Partition([_root(parent, v) for v in range(graph.n)]))
     return best

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from importlib.resources import files
 
 import pytest
 
-from modsweep import CommunityAggregates, Graph, Partition, SweepEngine, load_edge_list
+from modsweep import (CommunityAggregates, DisconnectedError, Graph, Partition, SweepEngine,
+                      load_edge_list)
 
 TRIANGLE_EDGES = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
 # two triangles joined by a single bridge edge, 7 edges, z = 14
@@ -92,6 +94,56 @@ def brute_force_min_cut(graph: Graph) -> tuple[int, set[int]]:
             best, best_side = cut, side
     assert best is not None
     return best, best_side
+
+
+def stoer_wagner_min_cut(graph: Graph) -> int:
+    """Reference global minimum cut (Stoer-Wagner, one contraction per phase).
+
+    Each phase is a maximum-adjacency ordering from vertex 0 on a loop-free
+    copy of the adjacency; the last vertex's key is a cut, and the last
+    vertex is then contracted into the one added before it.  Raises
+    ``DisconnectedError("graph is not connected")`` when the first ordering
+    runs out of vertices to add, as ``min_cut`` does.
+    """
+    if graph.n < 2:
+        raise ValueError("minimum cut needs at least two vertices")
+    adj: list[dict[int, int]] = [
+        {v: w for v, w in nbrs.items() if v != u} for u, nbrs in enumerate(graph.adj)
+    ]
+    alive = graph.n
+    best = graph.z
+    while alive > 1:
+        # vertex 0 leads every phase, so it is never the one contracted away
+        added = [False] * graph.n
+        key = [0] * graph.n
+        heap: list[tuple[int, int]] = [(0, 0)]
+        prev = last = 0
+        count = 0
+        while count < alive:
+            while True:
+                if not heap:
+                    raise DisconnectedError("graph is not connected")
+                negk, v = heapq.heappop(heap)
+                if not added[v] and key[v] == -negk:
+                    break
+            added[v] = True
+            count += 1
+            prev, last = last, v
+            for u, w in adj[v].items():
+                if not added[u]:
+                    key[u] += w
+                    heapq.heappush(heap, (-key[u], u))
+        best = min(best, key[last])
+        adj[prev].pop(last, None)
+        adj[last].pop(prev, None)
+        for u, w in adj[last].items():
+            adj[u].pop(last)
+            nw = adj[prev].get(u, 0) + w
+            adj[prev][u] = nw
+            adj[u][prev] = nw
+        adj[last] = {}
+        alive -= 1
+    return best
 
 
 def relabelled(edges, label: list[int]) -> Graph:

@@ -160,6 +160,15 @@ class TestVerify:
         assert "cut_window PASS" in out
         assert "block_count_bound PASS" in out
 
+    def test_tree_of_height_12_passes(self, capsys, tmp_path):
+        edges, part = tmp_path / "tree.edges", tmp_path / "tree.parts"
+        assert run_cli(capsys, "gen", "tree", "--height", "12", "--output", str(edges))[0] == 0
+        assert run_cli(capsys, "detect", str(edges), "--output", str(part))[0] == 0
+        code, out, _ = run_cli(capsys, "verify", str(edges), str(part), "--t", "1")
+        assert code == 0
+        assert "cut_window PASS" in out
+        assert "RESULT PASS" in out
+
 
 class TestGen:
     def test_tree_counts(self, capsys):

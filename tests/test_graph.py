@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import modsweep.graph
 from modsweep import (
     DisconnectedError,
     FormatError,
@@ -20,7 +21,14 @@ from modsweep import (
     singleton_partition,
 )
 
-from conftest import BARBELL_EDGES, brute_force_min_cut, random_graph, random_partition
+from conftest import (
+    BARBELL_EDGES,
+    brute_force_min_cut,
+    random_graph,
+    random_partition,
+    stoer_wagner_min_cut,
+    windmill_edges,
+)
 
 
 class TestLoadEdgeList:
@@ -126,6 +134,10 @@ class TestGraphInvariants:
     def test_edge_beyond_vertex_count_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 5, 1\).*n=3"):
             Graph.from_edge_list([(0, 5, 1)], n=3)
+        with pytest.raises(ValueError, match=r"\(0, -1, 1\).*n=3"):
+            Graph.from_edge_list([(0, -1, 1)], n=3)
+        with pytest.raises(ValueError, match=r"\(-1, -1, 1\).*n=2"):
+            Graph.from_edge_list([(-1, -1, 1), (0, 1, 1)])
 
     def test_degree_sum_equals_total(self):
         rng = random.Random(7)
@@ -199,6 +211,48 @@ class TestConnectedComponents:
         assert len(connected_components(g)) == 2
 
 
+def cut_or_error(cut, graph):
+    """The cut value, or the text of the DisconnectedError raised instead."""
+    try:
+        return cut(graph)
+    except DisconnectedError as exc:
+        return str(exc)
+
+
+def clustered_graph(rng: random.Random, n: int) -> Graph:
+    """Cliques of 3 to 8 vertices with weights 4 to 9, chained by unit edges,
+    plus a few unit edges between random vertices."""
+    edges, heads, start = [], [], 0
+    while start < n:
+        block = range(start, min(n, start + rng.randint(3, 8)))
+        edges += [(u, v, rng.randint(4, 9)) for u in block for v in block if u < v]
+        heads.append(rng.choice(block))
+        start = block.stop
+    edges += [(a, b, 1) for a, b in zip(heads, heads[1:])]
+    edges += [(rng.randrange(n), rng.randrange(n), 1) for _ in range(len(heads) // 2)]
+    return Graph.from_edge_list(edges, n=n)
+
+
+def grid_edges(side: int) -> list[tuple[int, int, int]]:
+    """Unit edges of a side x side grid."""
+    return ([(v, v + 1, 1) for v in range(side * side) if (v + 1) % side] +
+            [(v, v + side, 1) for v in range(side * (side - 1))])
+
+
+@pytest.fixture
+def quotient_sizes(monkeypatch):
+    """Vertex count of each graph ``min_cut`` contracts to, one per pass."""
+    sizes: list[int] = []
+    real = modsweep.graph.quotient
+
+    def counted(graph, partition):
+        sizes.append(len(partition))
+        return real(graph, partition)
+
+    monkeypatch.setattr(modsweep.graph, "quotient", counted)
+    return sizes
+
+
 class TestMinCut:
     def test_barbell_bridge(self, barbell):
         assert min_cut(barbell) == 1
@@ -228,15 +282,46 @@ class TestMinCut:
 
     def test_matches_brute_force(self):
         rng = random.Random(41)
-        for _ in range(40):
-            n = rng.randint(2, 9)
-            g = random_graph(rng, n, connected=True)
+        for i in range(60):
+            n = rng.randint(2, 12)
+            g = random_graph(rng, n, max_w=(1, 5, 2**40)[i % 3], connected=True)
             got = min_cut(g)
             want, side = brute_force_min_cut(g)
-            assert got == want
+            assert got == want == stoer_wagner_min_cut(g)
             # the ordered-pair mass across the optimal cut is twice the cut
             mass = sum(w for u in side for v, w in g.adj[u].items() if v not in side)
             assert mass == want
+
+    def test_matches_reference_on_larger_graphs(self, quotient_sizes):
+        rng = random.Random(43)
+        disconnected = 0
+        for i in range(150):
+            n = rng.randint(13, 40)
+            max_w = rng.choice((1, 5, 2**40))
+            if i % 3 == 0:  # mostly disconnected
+                g = random_graph(rng, n, p=0.04, max_w=max_w)
+            elif i % 3 == 1:
+                g = random_graph(rng, n, p=rng.choice((0.15, 0.5)), max_w=max_w, connected=True)
+            else:
+                g = clustered_graph(rng, n)
+            quotient_sizes.clear()
+            got, want = cut_or_error(min_cut, g), cut_or_error(stoer_wagner_min_cut, g)
+            assert got == want
+            disconnected += got == "graph is not connected"
+            if i % 3 == 2:
+                # one scan certifies several contractions inside the clusters
+                assert quotient_sizes[0] < n - 1
+        assert disconnected >= 25
+
+    def test_passes_on_trees_grids_and_hubs(self, quotient_sizes):
+        from modsweep import complete_binary_tree
+
+        assert min_cut(complete_binary_tree(14)) == 1
+        assert quotient_sizes == [1]
+        for edges in (grid_edges(30), windmill_edges(1000)):
+            quotient_sizes.clear()
+            assert min_cut(Graph.from_edge_list(edges)) == 2
+            assert len(quotient_sizes) <= 3
 
     def test_weighted_bridge(self):
         g = Graph.from_edge_list(BARBELL_EDGES[:-1] + [(2, 3, 5)])
