@@ -2,7 +2,9 @@
 
 Subcommands: detect, score, verify, gen, oracle, mincut.  Graph input is an
 edge-list file or '-' for stdin.  Exit codes: 0 success, 1 verification
-failure, 2 malformed input, invalid arguments, or values outside float range.
+failure, 2 malformed input, invalid arguments, or a value to print outside
+float range.  A command formats all of its output before writing any, so an
+exit 2 for bad input or an unprintable value writes nothing.
 """
 
 from __future__ import annotations
@@ -44,24 +46,20 @@ def _cmd_detect(args) -> int:
     t_min = positive_fraction(args.t_min, "--t-min")
     part, trace = detect_communities(graph, t_min)
     agg = CommunityAggregates.from_partition(graph, part)
-    q_tmin = agg.score(t_min)
-    q_1 = agg.score(1)
     final = trace[-1]
-    print(f"n {graph.n}")
-    print(f"z {graph.z}")
-    print(f"t_min {float(t_min):.12g}")
-    print(f"communities {len(part)}")
-    print(f"q_t_min {float(q_tmin):.12g}")
-    print(f"q_1 {float(q_1):.12g}")
-    print(f"final_resolution {final.t:.12g}")
-    print(f"sweeps {len(trace) - 1}")
+    lines = [f"n {graph.n}", f"z {graph.z}", f"t_min {float(t_min):.12g}",
+             f"communities {len(part)}", f"q_t_min {float(agg.score(t_min)):.12g}",
+             f"q_1 {float(agg.score(1)):.12g}", f"final_resolution {final.t:.12g}",
+             f"sweeps {len(trace) - 1}"]
     if args.exact_report:
         fr = final.t_exact
-        print(f"final_resolution_exact {fr.numerator}/{fr.denominator}")
-    if args.trace:
-        _write_text(args.trace, format_trace_csv(trace))
+        lines.append(f"final_resolution_exact {fr.numerator}/{fr.denominator}")
+    files = [(args.trace, format_trace_csv(trace))] if args.trace else []
     if args.output:
-        _write_text(args.output, format_partition(part, labels))
+        files.append((args.output, format_partition(part, labels)))
+    print("\n".join(lines))
+    for path, text in files:
+        _write_text(path, text)
     return 0
 
 
@@ -71,13 +69,9 @@ def _cmd_score(args) -> int:
     t = positive_fraction(args.t, "--t")
     agg = CommunityAggregates.from_partition(graph, part)
     q = agg.score(t)
-    qbar = (1 - t) - q
-    if args.exact_report:
-        print(f"t_exact {t.numerator}/{t.denominator}")
-    print(f"q_t {float(q):.12g}")
-    print(f"q_bar_t {float(qbar):.12g}")
-    print(f"k {len(part)}")
-    print(f"alpha {float(agg.alpha()):.12g}")
+    lines = [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
+    print("\n".join(lines + [f"q_t {float(q):.12g}", f"q_bar_t {float((1 - t) - q):.12g}",
+                             f"k {len(part)}", f"alpha {float(agg.alpha()):.12g}"]))
     return 0
 
 
@@ -86,10 +80,9 @@ def _cmd_verify(args) -> int:
     part = parse_partition(_read_text(args.partition), labels)
     t = positive_fraction(args.t, "--t")
     report = bounds_report(graph, part, t)
-    if args.exact_report:
-        print(f"t_exact {t.numerator}/{t.denominator}")
-    print(report.render())
-    print(f"RESULT {'PASS' if report.all_pass else 'FAIL'}")
+    lines = [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
+    verdict = f"RESULT {'PASS' if report.all_pass else 'FAIL'}"
+    print("\n".join(lines + [report.render(), verdict]))
     return 0 if report.all_pass else 1
 
 
@@ -110,13 +103,10 @@ def _cmd_oracle(args) -> int:
     graph, labels = _read_graph(args.graph)
     t = positive_fraction(args.t, "--t")
     result = best_partition(graph, t)
-    print(f"best_q {result.best_q:.12g}")
-    print(f"partitions_examined {result.partitions_examined}")
     text = format_partition(result.best_partition, labels)
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    print(f"best_q {float(result.best_q):.12g}\n"
+          f"partitions_examined {result.partitions_examined}")
+    _write_text(args.output or "-", text)
     return 0
 
 

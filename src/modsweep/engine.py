@@ -13,9 +13,10 @@ every resolution down to ``t_min``.
 Exactness: all control flow compares integer ratios by cross multiplication.
 A heap key is ``-floor(ratio * B**2)``, from ``_key``, where B bounds the
 ratio's denominator: distinct ratios differ by at least 1/B**2, so the
-integer keys order them exactly.  ``TraceRecord.t`` is a plain float, so
-``record_trace`` (and hence ``detect_communities``) still raises
-``OverflowError`` once a resolution exceeds the float range.
+integer keys order them exactly.  Trace records hold exact values too, so
+``detect_communities`` runs at any resolution; only ``TraceRecord.t`` and
+``format_trace_csv`` round, and they raise ``OverflowError`` beyond the
+float range.
 
 Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
 Each pair is filed in the candidate row of its owner, the endpoint of
@@ -86,14 +87,18 @@ def _key(num: int, den: int, scale: int) -> int:
 
 
 class TraceRecord(NamedTuple):
-    """Snapshot taken each time a new resolution is reached."""
+    """Exact snapshot taken each time a new resolution is reached."""
     step: int
-    t: float
     t_exact: Fraction
     k: int
-    q_t: float
-    q_1: float
-    alpha: float
+    q_t: Fraction
+    q_1: Fraction
+    alpha: Fraction
+
+    @property
+    def t(self) -> float:
+        """The resolution rounded to a float, for text output."""
+        return float(self.t_exact)
 
 
 TRACE_COLUMNS = "step,t,k,q_t,q_1,alpha"
@@ -104,7 +109,8 @@ def format_trace_csv(trace: list[TraceRecord]) -> str:
     lines = [TRACE_COLUMNS]
     for r in trace:
         lines.append(
-            f"{r.step},{r.t:.12g},{r.k},{r.q_t:.12g},{r.q_1:.12g},{r.alpha:.12g}"
+            f"{r.step},{r.t:.12g},{r.k},{float(r.q_t):.12g},{float(r.q_1):.12g},"
+            f"{float(r.alpha):.12g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -229,18 +235,15 @@ class SweepEngine:
         return Partition(root)
 
     def record_trace(self) -> TraceRecord:
-        """Append a snapshot of the current state at its own resolution.
-
-        Each float is one integer division, correctly rounded, so it equals
-        ``float()`` of the exact value; a resolution beyond float range
-        raises OverflowError.
-        """
+        """Append and return an exact snapshot of the current state at its
+        own resolution, read from the engine's two running sums."""
         tn, td = self._refill()
         z2 = self.z * self.z
         w = self.w_internal * self.z
         deg_sq = self.deg_sq
-        rec = TraceRecord(len(self.trace), tn / td, Fraction(tn, td), self.n - self.merges,
-                          (w * td - tn * deg_sq) / (z2 * td), (w - deg_sq) / z2, deg_sq / z2)
+        rec = TraceRecord(len(self.trace), Fraction(tn, td), self.n - self.merges,
+                          Fraction(w * td - tn * deg_sq, z2 * td), Fraction(w - deg_sq, z2),
+                          Fraction(deg_sq, z2))
         self.trace.append(rec)
         return rec
 
@@ -412,7 +415,7 @@ def detect_communities(graph: Graph, t_min=1.0) -> tuple[Partition, list[TraceRe
     """
     tf = positive_fraction(t_min, "t_min")
     eng = SweepEngine(graph)
-    eng.record_trace()
-    while eng.resolution() >= tf:
-        eng.resolution_sweep()
+    rec = eng.record_trace()
+    while rec.t_exact >= tf:
+        rec = eng.resolution_sweep()
     return eng.check_stable(tf), list(eng.trace)

@@ -75,21 +75,22 @@ def merge_gain(aggregates: CommunityAggregates, a: int, b: int, t) -> Fraction:
 
 @dataclass(frozen=True)
 class CheckRow:
-    """One verified inequality; ``passed`` is None when not applicable."""
+    """One verified inequality, with its exact sides; ``passed`` is None
+    when not applicable."""
     name: str
     passed: bool | None
-    lhs: float | None = None
-    rhs: float | None = None
+    lhs: Fraction | int | None = None
+    rhs: Fraction | None = None
     note: str = ""
 
 
 @dataclass(frozen=True)
 class ScalingCheck:
-    """Per-community degree-fraction window implied by the minimum cut."""
+    """Per-community degree-fraction window implied by the minimum cut, exact."""
     community: int
-    degree_fraction: float
-    lower: float
-    upper: float
+    degree_fraction: Fraction
+    lower: Fraction
+    upper: Fraction
     passed: bool
 
 
@@ -100,15 +101,16 @@ class BoundsReport:
     ``checks`` holds one row per inequality family (with a witness note on
     failure); ``scaling`` holds the per-community cut-window rows.  Pass
     flags are recomputed from the integer aggregates on construction, never
-    cached from elsewhere.
+    cached from elsewhere.  Every number is exact; only ``render`` rounds,
+    and it raises OverflowError on a value beyond the float range.
     """
     t: Fraction
     k: int
-    q_t: float
+    q_t: Fraction
     stable: bool
     witness: tuple[int, int] | None
     min_cut_value: int | None
-    max_blocks: float | None
+    max_blocks: Fraction | None
     scaling: list[ScalingCheck] = field(default_factory=list)
     checks: list[CheckRow] = field(default_factory=list)
 
@@ -120,20 +122,21 @@ class BoundsReport:
         lines = [
             f"t {float(self.t):.12g}",
             f"k {self.k}",
-            f"q_t {self.q_t:.12g}",
+            f"q_t {float(self.q_t):.12g}",
         ]
         for row in self.checks:
             status = "SKIP" if row.passed is None else ("PASS" if row.passed else "FAIL")
             extra = ""
             if row.lhs is not None and row.rhs is not None:
-                extra = f" ({row.lhs:.12g} vs {row.rhs:.12g})"
+                extra = f" ({float(row.lhs):.12g} vs {float(row.rhs):.12g})"
             note = f" [{row.note}]" if row.note else ""
             lines.append(f"{row.name} {status}{extra}{note}")
         for sc in self.scaling:
             status = "PASS" if sc.passed else "FAIL"
             lines.append(
                 f"community_window c{sc.community} {status} "
-                f"({sc.lower:.6g} < {sc.degree_fraction:.6g} < {sc.upper:.6g})"
+                f"({float(sc.lower):.6g} < {float(sc.degree_fraction):.6g} < "
+                f"{float(sc.upper):.6g})"
             )
         return "\n".join(lines)
 
@@ -185,14 +188,13 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
 
     upper_sum_sq = 1 - tf * agg.alpha()
     upper_fixed_k = 1 - tf / k
-    checks.append(CheckRow("q_upper_sum_sq", q <= upper_sum_sq, float(q), float(upper_sum_sq)))
-    checks.append(CheckRow("q_upper_fixed_k", q <= upper_fixed_k, float(q), float(upper_fixed_k)))
+    checks.append(CheckRow("q_upper_sum_sq", q <= upper_sum_sq, q, upper_sum_sq))
+    checks.append(CheckRow("q_upper_fixed_k", q <= upper_fixed_k, q, upper_fixed_k))
     upper_boundary = diag_total * (1 - 2 * tf * min(rho))
-    checks.append(CheckRow("q_upper_boundary_factor", q <= upper_boundary,
-                           float(q), float(upper_boundary)))
+    checks.append(CheckRow("q_upper_boundary_factor", q <= upper_boundary, q, upper_boundary))
     if tf <= 1:
         lo = (-tf / 2) * (1 - diag_total)
-        checks.append(CheckRow("q_lower_offdiag", q >= lo, float(q), float(lo)))
+        checks.append(CheckRow("q_lower_offdiag", q >= lo, q, lo))
     else:
         checks.append(CheckRow("q_lower_offdiag", None, note="needs t <= 1"))
 
@@ -202,13 +204,13 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
 
     floor = 1 - tf
     if stable:
-        checks.append(CheckRow("q_stability_floor", q >= floor, float(q), float(floor)))
+        checks.append(CheckRow("q_stability_floor", q >= floor, q, floor))
     else:
         checks.append(CheckRow("q_stability_floor", None, note="needs a merge-stable partition"))
 
     scaling: list[ScalingCheck] = []
     mc: int | None = None
-    max_blocks: float | None = None
+    max_blocks: Fraction | None = None
     if stable and k >= 2:
         bad_pair = None
         for a, b, w in agg.pairs():
@@ -230,13 +232,12 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
                 lo, hi = ratio, 1 - ratio
                 good = lo < m_v[c] < hi and (m_v[c] - Fraction(1, 2)) ** 2 <= Fraction(1, 4) - ratio
                 ok_sq = ok_sq and good
-                scaling.append(ScalingCheck(c, float(m_v[c]), float(lo), float(hi), good))
+                scaling.append(ScalingCheck(c, m_v[c], lo, hi, good))
             checks.append(CheckRow("cut_window", ok_sq))
-            kb = tf * z / mc
-            max_blocks = float(kb)
-            count_ok = (k < kb and
+            max_blocks = tf * z / mc
+            count_ok = (k < max_blocks and
                         (Fraction(1, k) - Fraction(1, 2)) ** 2 <= Fraction(1, 4) - ratio)
-            checks.append(CheckRow("block_count_bound", count_ok, float(k), max_blocks))
+            checks.append(CheckRow("block_count_bound", count_ok, k, max_blocks))
     else:
         note = "needs a merge-stable partition with >= 2 blocks"
         checks.append(CheckRow("pair_union_degree_bound", None, note=note))
@@ -244,7 +245,7 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
         checks.append(CheckRow("block_count_bound", None, note=note))
 
     return BoundsReport(
-        t=tf, k=k, q_t=float(q), stable=stable, witness=witness,
+        t=tf, k=k, q_t=q, stable=stable, witness=witness,
         min_cut_value=mc, max_blocks=max_blocks,
         scaling=scaling, checks=checks,
     )

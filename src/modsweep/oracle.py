@@ -44,7 +44,8 @@ def set_partitions(n: int) -> Iterator[list[int]]:
 
 @dataclass(frozen=True)
 class OracleResult:
-    best_q: float
+    """The first exact maximizer, its exact score and the partitions examined."""
+    best_q: Fraction
     best_partition: Partition
     partitions_examined: int
 
@@ -101,7 +102,7 @@ def best_partition(graph: Graph, t) -> OracleResult:
     tf = positive_fraction(t)
     score = _block_scorer(graph, Partition(range(n)), tf)
     best = max(set_partitions(n), key=score)  # max keeps the first maximizer
-    best_q = float(Fraction(score(best), tf.denominator * graph.z * graph.z))
+    best_q = Fraction(score(best), tf.denominator * graph.z * graph.z)
     return OracleResult(best_q, Partition(best), BELL[n])
 
 

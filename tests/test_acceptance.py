@@ -279,7 +279,7 @@ def test_criterion_7_trace_shape(karate):
         )
         negative_head = qt[0] < 0 and q1[0] < 0
         ok = ok and monotone and negative_head
-        details.append(f"{name}: {len(trace)} records, q_t[0]={qt[0]:.4f}")
+        details.append(f"{name}: {len(trace)} records, q_t[0]={float(qt[0]):.4f}")
     assert _verdict("7 trace-shape", ok, "; ".join(details))
 
 
@@ -293,5 +293,5 @@ def test_criterion_8_performance_smoke():
     ok = elapsed < 120.0 and peak_gb < 4.0 and stable
     assert _verdict(
         "8 performance-smoke", ok,
-        f"n={g.n} k={len(part)} q1={trace[-1].q_1:.6f} {elapsed:.1f}s peak={peak_gb:.2f}GB"
+        f"n={g.n} k={len(part)} q1={float(trace[-1].q_1):.6f} {elapsed:.1f}s peak={peak_gb:.2f}GB"
     )

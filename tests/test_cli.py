@@ -1,6 +1,8 @@
 """Command-line behavior: round trips, determinism, exit codes."""
 
 import argparse
+import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -147,8 +149,6 @@ class TestVerify:
         assert "RESULT FAIL" in out
 
     def test_karate_engine_output_passes(self, capsys, tmp_path):
-        from importlib.resources import files
-
         edges = tmp_path / "karate.edges"
         edges.write_text(files("modsweep").joinpath("data/karate.edges").read_text())
         part = tmp_path / "p.txt"
@@ -233,20 +233,36 @@ class TestErrors:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ("detect", "{graph}", "--t-min", "1e400"),
+        ("detect", "{graph}", "--t-min", "1e400", "--output", "{out}"),
         ("score", "{graph}", "{part}", "--t", "1e400"),
-        ("verify", "{graph}", "{part}", "--t", "1e400"),
-        ("detect", "{huge}"),
+        ("verify", "{graph}", "{part}", "--t", "1e400", "--exact-report"),
+        ("detect", "{huge}", "--trace", "{trace}", "--output", "{out}"),
+        ("oracle", "{graph}", "--t", "1e400", "--output", "{out}"),
     ])
     def test_values_outside_float_range(self, capsys, tmp_path, barbell_file, argv):
+        """A value that cannot be printed exits 2 before anything is written."""
         part = tmp_path / "p.txt"
         part.write_text("".join(f"{v} 0\n" for v in "abcdef"))
         huge = tmp_path / "huge.edges"
         huge.write_text(f"a b {10 ** 400}\nc d 1\n")
-        paths = {"graph": barbell_file, "part": str(part), "huge": str(huge)}
-        code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        out, trace = tmp_path / "out.txt", tmp_path / "trace.csv"
+        paths = {"graph": barbell_file, "part": str(part), "huge": str(huge),
+                 "out": str(out), "trace": str(trace)}
+        code, stdout, err = run_cli(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert err.startswith("error:")
+        assert stdout == ""
+        assert not out.exists() and not trace.exists()
+
+    def test_weights_beyond_float_range(self, capsys, tmp_path):
+        """The sweep is exact, so such a graph fails only where a value
+        beyond float range is printed, as in its trace."""
+        huge = tmp_path / "huge.edges"
+        huge.write_text(f"a b {10 ** 400}\nc d 1\n")
+        code, out, _ = run_cli(capsys, "detect", str(huge))
+        assert code == 0
+        assert "communities 2" in out.splitlines()
+        assert "final_resolution 0" in out.splitlines()
 
     def test_ensure_connected_flag_rejected(self, barbell_file):
         # every community the sweep returns is connected, so there is no
@@ -260,6 +276,52 @@ class TestErrors:
         path.write_text("a b\nc d\n")
         code, _, err = run_cli(capsys, "mincut", str(path))
         assert code == 2
+
+
+def test_printed_bytes_are_pinned(capsys, tmp_path):
+    """sha256 of the text the CLI prints for karate: the detect summary, its
+    trace CSV and partition file, and the verify report of that partition."""
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    karate = str(files("modsweep").joinpath("data/karate.edges"))
+    trace, part = tmp_path / "karate.trace", tmp_path / "karate.parts"
+    code, out, _ = run_cli(capsys, "detect", karate, "--exact-report",
+                           "--trace", str(trace), "--output", str(part))
+    assert code == 0
+    assert digest(out) == "56ccb454d03461c8491987a2891334a3264424d591ee3be83d317c1708e84dec"
+    assert digest(trace.read_text()) == (
+        "1b4181b5f49f45ab46fa168b3873bbbec75f89eeb524b321f6c9a283fa3e618e")
+    assert digest(part.read_text()) == (
+        "028c16f36bea878371e9bec8cfd792fef4b16143100cdbb0ecceea78900f5c5f")
+    code, out, _ = run_cli(capsys, "verify", karate, str(part), "--t", "1")
+    assert code == 0
+    assert digest(out) == "134964fc8c56feb65083619a0f6fb91e5e7eb4cc9e32eb1e61cf648b5aeebfd0"
+
+
+def _float_calls(node: ast.AST, scope: tuple[str, ...] = ()):
+    """Yield the dotted name of the definition around each ``float()`` call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _float_calls(child, scope + (child.name,))
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "float"):
+            yield ".".join(scope)
+        yield from _float_calls(child, scope)
+
+
+def test_only_text_output_rounds_to_float():
+    """Library results stay exact: ``float()`` is called only where text is
+    formatted, and for the closed-form paper constants of generators.py."""
+    allowed = {"engine.py": {"format_trace_csv", "TraceRecord.t"},
+               "modularity.py": {"BoundsReport.render"}}
+    src = Path(__file__).resolve().parents[1] / "src" / "modsweep"
+    calls = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+             if path.name not in ("cli.py", "generators.py")
+             for scope in _float_calls(ast.parse(path.read_text()))
+             if scope not in allowed.get(path.name, ())]
+    assert calls == []
 
 
 def _flags(parser: argparse.ArgumentParser) -> set[str]:

@@ -10,6 +10,7 @@ from modsweep import (
     Partition,
     best_partition,
     bounds_report,
+    complete_binary_tree,
     compose,
     detect_communities,
     is_coarsening_optimal,
@@ -19,6 +20,7 @@ from modsweep import (
     modularity_complement,
     resolution,
     singleton_partition,
+    tree_core_partition,
 )
 
 from conftest import random_graph, random_partition
@@ -252,9 +254,9 @@ class TestBoundsReport:
         assert rep.all_pass
         assert rep.stable
         assert rep.min_cut_value == 1
-        assert rep.max_blocks == pytest.approx(14.0)
+        assert rep.max_blocks == 14
         assert rep.k == 2 < rep.max_blocks
-        assert rep.q_t == pytest.approx(5 / 14)
+        assert rep.q_t == Fraction(5, 14)
 
     def test_floor_for_stable_partitions(self):
         rng = random.Random(31)
@@ -291,6 +293,20 @@ class TestBoundsReport:
                 stable_seen = True
                 assert rep.all_pass, rep.render()
         assert stable_seen
+
+    def test_exact_beyond_float_range(self):
+        """The report holds exact values at a resolution beyond the float
+        range; only rendering it rounds, and that overflows."""
+        g, p, t = complete_binary_tree(3), tree_core_partition(3), 10**400
+        rep = bounds_report(g, p, t)
+        assert rep.q_t == modularity(g, p, t)
+        assert rep.stable and rep.all_pass
+        assert rep.max_blocks == Fraction(t * g.z, rep.min_cut_value)
+        rows = {row.name: row for row in rep.checks}
+        assert rows["q_upper_fixed_k"].lhs == rep.q_t
+        assert rows["q_upper_fixed_k"].rhs == 1 - Fraction(t, rep.k)
+        with pytest.raises(OverflowError):
+            rep.render()
 
     def test_disconnected_skips_cut_rows(self, two_triangles):
         rep = bounds_report(two_triangles, Partition([0, 0, 0, 1, 1, 1]), 1)

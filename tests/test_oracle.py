@@ -10,6 +10,7 @@ from modsweep import (
     Partition,
     SizeLimitError,
     best_partition,
+    complete_binary_tree,
     detect_communities,
     is_coarsening_optimal,
     is_merge_stable,
@@ -81,11 +82,16 @@ class TestBestPartition:
 
     def test_exact_tie_keeps_first_maximizer(self):
         """[0,0,0,1] and [0,1,0,0] both score exactly -73/260; a float
-        comparison picks the later one."""
+        comparison picks the later one.  The score is returned exactly."""
         g = Graph.from_edge_list([(0, 2, 7), (1, 2, 1), (2, 3, 5)])
         res = best_partition(g, Fraction(13, 10))
         assert res.best_partition == Partition([0, 0, 0, 1])
-        assert res.best_q == float(Fraction(-73, 260))
+        assert res.best_q == Fraction(-73, 260)
+
+    def test_exact_score_beyond_float_range(self):
+        g = complete_binary_tree(2)
+        res = best_partition(g, 10**400)
+        assert res.best_q == modularity(g, res.best_partition, 10**400)
 
     def test_first_exact_maximizer_of_modularity(self):
         rng = random.Random(23)

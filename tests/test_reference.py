@@ -155,8 +155,8 @@ def test_merged_pair_filed_in_front_of_a_neighbour_row():
 
 
 def test_weights_beyond_float_range():
-    """Heap keys are exact integers, so the engine sweeps weights beyond
-    float range exactly."""
+    """Heap keys and trace records are exact, so the engine and
+    ``detect_communities`` sweep weights beyond float range exactly."""
     g, _ = load_edge_list(f"a b {10**400}\nc d 1\n")
     eng = SweepEngine(g)
     assert eng.resolution() == 2 * 10**400 + 2
@@ -170,6 +170,7 @@ def test_weights_beyond_float_range():
     assert eng.partition() == ref_part
     assert steps == ref_trace
     assert pairs == ref_pairs
-    # the trace record stores a float resolution, which cannot hold 2e400
-    with pytest.raises(OverflowError):
-        detect_communities(g, 1)
+    part, trace = detect_communities(g, 1)
+    ref_part, ref_trace, _ = reference_sweep(g, Fraction(1))
+    assert part == ref_part
+    assert [(r.t_exact, r.k) for r in trace] == ref_trace
