@@ -2,9 +2,14 @@
 
 Subcommands: detect, score, verify, gen, oracle, mincut.  Graph input is an
 edge-list file or '-' for stdin.  Exit codes: 0 success, 1 verification
-failure, 2 malformed input, invalid arguments, or a value to print outside
-float range.  A command formats all of its output before writing any, so an
-exit 2 for bad input or an unprintable value writes nothing.
+failure, 2 malformed input, invalid arguments, an unwritable output path,
+or a value to print outside float range.
+
+A command only formats: it returns its exit code, its stdout text and the
+named files it produces, and ``main`` alone writes.  An output sent to '-'
+joins stdout where it would have been printed.  ``main`` writes every named
+file, in order, and then stdout in one write, so an exit 2 prints nothing;
+the files written before an unwritable one remain.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from .modularity import bounds_report
 from .measures import CommunityAggregates
 from .oracle import best_partition
 from .partition import format_partition, parse_partition
-from .rational import positive_fraction
+from .rational import positive_fraction, rounded
+
+Outputs = tuple[int, str, list[tuple[str, str]]]
 
 
 def _read_text(path: str) -> str:
@@ -29,91 +36,83 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _outputs(code: int, *pieces: tuple[str, str]) -> Outputs:
+    """Split ``(destination, text)`` pieces, in print order, into the exit
+    code, the stdout text (every '-' piece) and the named files."""
+    return (code, "".join(text for path, text in pieces if path == "-"),
+            [(path, text) for path, text in pieces if path != "-"])
 
 
 def _read_graph(path: str) -> tuple[Graph, list[str]]:
     return load_edge_list(_read_text(path))
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> Outputs:
     graph, labels = _read_graph(args.graph)
     t_min = positive_fraction(args.t_min, "--t-min")
     part, trace = detect_communities(graph, t_min)
     agg = CommunityAggregates.from_partition(graph, part)
     final = trace[-1]
-    lines = [f"n {graph.n}", f"z {graph.z}", f"t_min {float(t_min):.12g}",
-             f"communities {len(part)}", f"q_t_min {float(agg.score(t_min)):.12g}",
-             f"q_1 {float(agg.score(1)):.12g}", f"final_resolution {final.t:.12g}",
+    lines = [f"n {graph.n}", f"z {graph.z}", f"t_min {rounded(t_min)}",
+             f"communities {len(part)}", f"q_t_min {rounded(agg.score(t_min))}",
+             f"q_1 {rounded(agg.score(1))}", f"final_resolution {rounded(final.t_exact)}",
              f"sweeps {len(trace) - 1}"]
     if args.exact_report:
         fr = final.t_exact
         lines.append(f"final_resolution_exact {fr.numerator}/{fr.denominator}")
-    files = [(args.trace, format_trace_csv(trace))] if args.trace else []
+    pieces = [("-", "\n".join(lines) + "\n")]
+    if args.trace:
+        pieces.append((args.trace, format_trace_csv(trace)))
     if args.output:
-        files.append((args.output, format_partition(part, labels)))
-    print("\n".join(lines))
-    for path, text in files:
-        _write_text(path, text)
-    return 0
+        pieces.append((args.output, format_partition(part, labels)))
+    return _outputs(0, *pieces)
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> Outputs:
     graph, labels = _read_graph(args.graph)
     part = parse_partition(_read_text(args.partition), labels)
     t = positive_fraction(args.t, "--t")
     agg = CommunityAggregates.from_partition(graph, part)
     q = agg.score(t)
     lines = [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
-    print("\n".join(lines + [f"q_t {float(q):.12g}", f"q_bar_t {float((1 - t) - q):.12g}",
-                             f"k {len(part)}", f"alpha {float(agg.alpha()):.12g}"]))
-    return 0
+    lines += [f"q_t {rounded(q)}", f"q_bar_t {rounded((1 - t) - q)}",
+              f"k {len(part)}", f"alpha {rounded(agg.alpha())}"]
+    return _outputs(0, ("-", "\n".join(lines) + "\n"))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Outputs:
     graph, labels = _read_graph(args.graph)
     part = parse_partition(_read_text(args.partition), labels)
     t = positive_fraction(args.t, "--t")
     report = bounds_report(graph, part, t)
     lines = [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
-    verdict = f"RESULT {'PASS' if report.all_pass else 'FAIL'}"
-    print("\n".join(lines + [report.render(), verdict]))
-    return 0 if report.all_pass else 1
+    lines += [report.render(), f"RESULT {'PASS' if report.all_pass else 'FAIL'}"]
+    return _outputs(0 if report.all_pass else 1, ("-", "\n".join(lines) + "\n"))
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> Outputs:
     if args.kind == "daisy":
-        graph = daisy_graph(args.r)
-        _write_text(args.output, format_edge_list(graph))
+        text = format_edge_list(daisy_graph(args.r))
     elif args.kind == "tree":
-        graph = complete_binary_tree(args.height)
-        _write_text(args.output, format_edge_list(graph))
+        text = format_edge_list(complete_binary_tree(args.height))
     else:  # tree-partition
-        part = tree_core_partition(args.height)
-        _write_text(args.output, format_partition(part))
-    return 0
+        text = format_partition(tree_core_partition(args.height))
+    return _outputs(0, (args.output, text))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> Outputs:
     graph, labels = _read_graph(args.graph)
     t = positive_fraction(args.t, "--t")
     result = best_partition(graph, t)
-    text = format_partition(result.best_partition, labels)
-    print(f"best_q {float(result.best_q):.12g}\n"
-          f"partitions_examined {result.partitions_examined}")
-    _write_text(args.output or "-", text)
-    return 0
+    summary = (f"best_q {rounded(result.best_q)}\n"
+               f"partitions_examined {result.partitions_examined}\n")
+    return _outputs(0, ("-", summary),
+                    (args.output or "-", format_partition(result.best_partition, labels)))
 
 
-def _cmd_mincut(args) -> int:
+def _cmd_mincut(args) -> Outputs:
     graph, _ = _read_graph(args.graph)
-    print(min_cut(graph))
-    return 0
+    return _outputs(0, ("-", f"{min_cut(graph)}\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,34 +131,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print resolutions as integer fractions")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("score", help="score a partition file against a graph")
-    p.add_argument("graph")
-    p.add_argument("partition")
-    p.add_argument("--t", default="1")
-    p.add_argument("--exact-report", action="store_true")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("verify", help="check every bound and the stability certificate")
-    p.add_argument("graph")
-    p.add_argument("partition")
-    p.add_argument("--t", default="1")
-    p.add_argument("--exact-report", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    for name, func, text in (
+            ("score", _cmd_score, "score a partition file against a graph"),
+            ("verify", _cmd_verify, "check every bound and the stability certificate")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("graph")
+        p.add_argument("partition")
+        p.add_argument("--t", default="1")
+        p.add_argument("--exact-report", action="store_true")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="emit a generated example graph or partition")
     gsub = p.add_subparsers(dest="kind", required=True)
-    g = gsub.add_parser("daisy", help="hub with 25*r three-vertex petals")
-    g.add_argument("--r", type=int, required=True)
-    g.add_argument("--output", default="-")
-    g.set_defaults(func=_cmd_gen)
-    g = gsub.add_parser("tree", help="complete binary tree")
-    g.add_argument("--height", type=int, required=True)
-    g.add_argument("--output", default="-")
-    g.set_defaults(func=_cmd_gen)
-    g = gsub.add_parser("tree-partition", help="core-plus-branches tree partition")
-    g.add_argument("--height", type=int, required=True)
-    g.add_argument("--output", default="-")
-    g.set_defaults(func=_cmd_gen)
+    for kind, size, text in (("daisy", "--r", "hub with 25*r three-vertex petals"),
+                             ("tree", "--height", "complete binary tree"),
+                             ("tree-partition", "--height", "core-plus-branches tree partition")):
+        g = gsub.add_parser(kind, help=text)
+        g.add_argument(size, type=int, required=True)
+        g.add_argument("--output", default="-")
+        g.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small graphs")
     p.add_argument("graph")
@@ -175,13 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, out, files = args.func(args)
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        sys.stdout.write(out)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

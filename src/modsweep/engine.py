@@ -71,7 +71,7 @@ from .errors import IllegalStateError
 from .graph import Graph
 from .modularity import is_merge_stable
 from .partition import Partition
-from .rational import positive_fraction
+from .rational import positive_fraction, rounded
 
 
 def _key(num: int, den: int, scale: int) -> int:
@@ -97,7 +97,7 @@ class TraceRecord(NamedTuple):
 
     @property
     def t(self) -> float:
-        """The resolution rounded to a float, for text output."""
+        """The resolution rounded to a float, for callers that plot it."""
         return float(self.t_exact)
 
 
@@ -106,13 +106,9 @@ TRACE_COLUMNS = "step,t,k,q_t,q_1,alpha"
 
 def format_trace_csv(trace: list[TraceRecord]) -> str:
     """CSV with the fixed column set, 12 significant digits."""
-    lines = [TRACE_COLUMNS]
-    for r in trace:
-        lines.append(
-            f"{r.step},{r.t:.12g},{r.k},{float(r.q_t):.12g},{float(r.q_1):.12g},"
-            f"{float(r.alpha):.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (f"{r.step},{rounded(r.t_exact)},{r.k},{rounded(r.q_t)},{rounded(r.q_1)},"
+            f"{rounded(r.alpha)}" for r in trace)
+    return "\n".join([TRACE_COLUMNS, *rows]) + "\n"
 
 
 class SweepEngine:

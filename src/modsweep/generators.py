@@ -39,11 +39,11 @@ def daisy_graph(r: int) -> Graph:
     return Graph(adj)
 
 
-def daisy_reference_modularity(r: int) -> float:
+def daisy_reference_modularity(r: int) -> Fraction:
     """Score of the best daisy partition at resolution 1: (4/25)(4 - 1/(6r))."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    return float(Fraction(4, 25) * (4 - Fraction(1, 6 * r)))
+    return Fraction(4, 25) * (4 - Fraction(1, 6 * r))
 
 
 def daisy_stable_petal_count(r: int, t) -> int:
@@ -85,7 +85,7 @@ class TreeBound:
     """Closed-form score ceiling for any tree of total weight z."""
     z: int
     blocks: int
-    bound: float
+    bound: Fraction
 
 
 def tree_score_profile(blocks: int, z: int) -> Fraction:
@@ -104,7 +104,7 @@ def tree_bound(z: int) -> TreeBound:
     if z < 2 or z % 2:
         raise ValueError("a tree's total weight is even and at least 2")
     s = (1 + math.isqrt(1 + 2 * z)) // 2
-    return TreeBound(z, s, float(1 - tree_score_profile(s, z)))
+    return TreeBound(z, s, 1 - tree_score_profile(s, z))
 
 
 def _core_height(height: int) -> int:

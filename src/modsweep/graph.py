@@ -175,9 +175,13 @@ def min_cut(graph: Graph) -> int:
     Henzinger, Noe, Schulz & Strash 2018).  ``best``, the least cut seen,
     first drops to the least loop-free vertex degree.  An edge whose scan
     value ``key[u]`` reaches ``best`` joins vertices no cut below ``best``
-    separates, so they are unioned, as are the scan's last two vertices,
-    which Stoer-Wagner's lemma splits at least by ``key[last]``, the
-    loop-free degree of ``last``.  ``quotient`` contracts the unions.
+    separates, so they are unioned.  The last vertex's key ends at its
+    loop-free degree, at least ``best``, so every pass unions a pair.  A
+    popped vertex with exactly two loop-free neighbours is unioned with the
+    heavier one (Padberg & Rinaldi 1990), the first on a tie: moving it to
+    that side never grows a cut, and a strictly lightest edge of a chain is
+    no vertex's heavier one, so a minimum cut below ``best`` survives.  So
+    a cycle takes one pass.  ``quotient`` contracts the unions.
     DisconnectedError comes from the first scan.
     """
     if graph.n < 2:
@@ -189,7 +193,6 @@ def min_cut(graph: Graph) -> int:
         added = [False] * graph.n
         key = [0] * graph.n
         heap: list[tuple[int, int]] = [(0, 0)]
-        prev = last = 0
         for _ in range(graph.n):
             while heap and added[heap[0][1]]:
                 heapq.heappop(heap)
@@ -197,13 +200,15 @@ def min_cut(graph: Graph) -> int:
                 raise DisconnectedError("graph is not connected")
             v = heapq.heappop(heap)[1]
             added[v] = True
-            prev, last = last, v
-            for u, w in graph.adj[v].items():
+            nbrs = graph.adj[v]
+            if len(nbrs) - (v in nbrs) == 2:
+                u = max((x for x in nbrs if x != v), key=nbrs.__getitem__)
+                parent[_root(parent, u)] = _root(parent, v)
+            for u, w in nbrs.items():
                 if not added[u]:
                     key[u] += w
                     heapq.heappush(heap, (-key[u], u))
                     if key[u] >= best:
                         parent[_root(parent, u)] = _root(parent, v)
-        parent[_root(parent, last)] = _root(parent, prev)
         graph = quotient(graph, Partition([_root(parent, v) for v in range(graph.n)]))
     return best

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from .errors import DisconnectedError
 from .graph import min_cut
 from .measures import CommunityAggregates
-from .rational import positive_fraction
+from .rational import positive_fraction, rounded
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import Graph
@@ -119,24 +119,20 @@ class BoundsReport:
         return all(row.passed is not False for row in self.checks)
 
     def render(self) -> str:
-        lines = [
-            f"t {float(self.t):.12g}",
-            f"k {self.k}",
-            f"q_t {float(self.q_t):.12g}",
-        ]
+        lines = [f"t {rounded(self.t)}", f"k {self.k}", f"q_t {rounded(self.q_t)}"]
         for row in self.checks:
             status = "SKIP" if row.passed is None else ("PASS" if row.passed else "FAIL")
             extra = ""
             if row.lhs is not None and row.rhs is not None:
-                extra = f" ({float(row.lhs):.12g} vs {float(row.rhs):.12g})"
+                extra = f" ({rounded(row.lhs)} vs {rounded(row.rhs)})"
             note = f" [{row.note}]" if row.note else ""
             lines.append(f"{row.name} {status}{extra}{note}")
         for sc in self.scaling:
             status = "PASS" if sc.passed else "FAIL"
             lines.append(
                 f"community_window c{sc.community} {status} "
-                f"({float(sc.lower):.6g} < {float(sc.degree_fraction):.6g} < "
-                f"{float(sc.upper):.6g})"
+                f"({rounded(sc.lower, 6)} < {rounded(sc.degree_fraction, 6)} < "
+                f"{rounded(sc.upper, 6)})"
             )
         return "\n".join(lines)
 

@@ -2,7 +2,8 @@
 
 Every comparison that steers control flow (resolution ordering, zero tests
 of merge gains) is done on integer ratios, never on floats.  Python ints
-are unbounded, so cross-multiplied comparisons are always exact.
+are unbounded, so cross-multiplied comparisons are always exact.  Values
+become floats only as text, through ``rounded``.
 """
 
 from __future__ import annotations
@@ -25,3 +26,9 @@ def positive_fraction(t, name: str = "t") -> Fraction:
     if f <= 0:
         raise ValueError(f"{name} must be positive, got {t!r}")
     return f
+
+
+def rounded(x, digits: int = 12) -> str:
+    """``x`` to ``digits`` significant digits: every printed number rounds
+    here.  Raises OverflowError beyond the float range."""
+    return f"{float(x):.{digits}g}"

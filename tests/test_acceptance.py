@@ -62,7 +62,7 @@ def test_criterion_1_tree_bounds():
             p = tree_core_partition(height)
             row_ok = row_ok and modularity(g, p, Fraction(1)) == tree_core_modularity(height)
         ok = ok and row_ok
-        details.append(f"h{height}:{got_bound:.7f}/{got_core:.7f}")
+        details.append(f"h{height}:{float(got_bound):.7f}/{got_core:.7f}")
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     assert _verdict("1 tree-bound-table", ok, f"{'; '.join(details)}; {elapsed:.3f}s")
@@ -80,7 +80,7 @@ def test_criterion_2_engine_on_trees():
         hi = tree_bound(g.z).bound
         in_band = lo <= q1 <= hi
         all_ok = all_ok and in_band
-        rows.append(f"h{height}: q1={q1:.6f} band=[{lo:.6f},{hi:.7f}] {'ok' if in_band else 'OUT'}")
+        rows.append(f"h{height}: q1={q1:.6f} band=[{lo:.6f},{float(hi):.7f}] {'ok' if in_band else 'OUT'}")
     elapsed = time.perf_counter() - start
     all_ok = all_ok and elapsed < 5.0
     assert _verdict("2 engine-on-trees", all_ok, f"{'; '.join(rows)}; {elapsed:.2f}s"), (
@@ -109,7 +109,7 @@ def test_criterion_4_daisy():
     ok = ok and stable and 20 <= len(part) <= 26
     assert _verdict(
         "4 daisy", ok,
-        f"ref={ref:.5f} bound={tb.bound:.4f} k={len(part)} stable={stable}"
+        f"ref={float(ref):.5f} bound={float(tb.bound):.4f} k={len(part)} stable={stable}"
     )
 
 

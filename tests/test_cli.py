@@ -254,6 +254,21 @@ class TestErrors:
         assert stdout == ""
         assert not out.exists() and not trace.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("detect", "{graph}", "--trace", "{trace}", "--output", "{bad}"),
+        ("oracle", "{graph}", "--output", "{bad}"),
+    ])
+    def test_unwritable_output(self, capsys, tmp_path, barbell_file, argv):
+        """An unwritable path exits 2 before stdout is written; a file
+        named before it stays written."""
+        trace = tmp_path / "trace.csv"
+        paths = {"graph": barbell_file, "trace": str(trace), "bad": str(tmp_path / "nodir/p.txt")}
+        code, stdout, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert trace.exists() == ("--trace" in argv)
+
     def test_weights_beyond_float_range(self, capsys, tmp_path):
         """The sweep is exact, so such a graph fails only where a value
         beyond float range is printed, as in its trace."""
@@ -299,29 +314,33 @@ def test_printed_bytes_are_pinned(capsys, tmp_path):
     assert digest(out) == "134964fc8c56feb65083619a0f6fb91e5e7eb4cc9e32eb1e61cf648b5aeebfd0"
 
 
-def _float_calls(node: ast.AST, scope: tuple[str, ...] = ()):
-    """Yield the dotted name of the definition around each ``float()`` call."""
+def _calls(node: ast.AST, name: str, scope: tuple[str, ...] = ()):
+    """Yield the dotted name of the definition around each call of the
+    function spelled ``name``, such as ``float`` or ``sys.stdout.write``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _float_calls(child, scope + (child.name,))
+            yield from _calls(child, name, scope + (child.name,))
             continue
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                and child.func.id == "float"):
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
             yield ".".join(scope)
-        yield from _float_calls(child, scope)
+        yield from _calls(child, name, scope)
+
+
+def _call_sites(*names: str) -> set[str]:
+    src = Path(__file__).resolve().parents[1] / "src" / "modsweep"
+    return {f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+            for name in names for scope in _calls(ast.parse(path.read_text()), name)}
 
 
 def test_only_text_output_rounds_to_float():
-    """Library results stay exact: ``float()`` is called only where text is
-    formatted, and for the closed-form paper constants of generators.py."""
-    allowed = {"engine.py": {"format_trace_csv", "TraceRecord.t"},
-               "modularity.py": {"BoundsReport.render"}}
-    src = Path(__file__).resolve().parents[1] / "src" / "modsweep"
-    calls = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
-             if path.name not in ("cli.py", "generators.py")
-             for scope in _float_calls(ast.parse(path.read_text()))
-             if scope not in allowed.get(path.name, ())]
-    assert calls == []
+    """Library results stay exact: ``float()`` is called only by the one
+    rounding helper and by ``TraceRecord.t``."""
+    assert _call_sites("float") == {"rational.py:rounded", "engine.py:TraceRecord.t"}
+
+
+def test_only_main_writes_stdout():
+    """Commands return their text; ``cli.main`` alone writes it."""
+    assert _call_sites("print", "sys.stdout.write") == {"cli.py:main"}
 
 
 def _flags(parser: argparse.ArgumentParser) -> set[str]:

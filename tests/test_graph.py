@@ -321,7 +321,21 @@ class TestMinCut:
         for edges in (grid_edges(30), windmill_edges(1000)):
             quotient_sizes.clear()
             assert min_cut(Graph.from_edge_list(edges)) == 2
-            assert len(quotient_sizes) <= 3
+            assert len(quotient_sizes) <= 2
+        n = 1000
+        quotient_sizes.clear()
+        assert min_cut(Graph.from_edge_list([(v, (v + 1) % n, 1) for v in range(n)])) == 2
+        assert quotient_sizes == [1]
+        # a ladder with rails of weight 2 and rungs of weight 1
+        rails = [(v + s, v + s + 1, 2) for s in (0, n) for v in range(n - 1)]
+        quotient_sizes.clear()
+        assert min_cut(Graph.from_edge_list(rails + [(v, v + n, 1) for v in range(n)])) == 3
+        assert len(quotient_sizes) <= 2
+
+    def test_chain_keeps_its_lightest_edges(self):
+        # joining every edge with 2w >= the degree of an endpoint would
+        # contract the whole path and report its least degree, 4
+        assert min_cut(Graph.from_edge_list([(1, 0, 4), (0, 4, 3), (4, 2, 3), (2, 3, 4)])) == 3
 
     def test_weighted_bridge(self):
         g = Graph.from_edge_list(BARBELL_EDGES[:-1] + [(2, 3, 5)])
