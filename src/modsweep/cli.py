@@ -51,11 +51,11 @@ def _cmd_detect(args) -> Outputs:
     graph, labels = _read_graph(args.graph)
     t_min = positive_fraction(args.t_min, "--t-min")
     part, trace = detect_communities(graph, t_min)
-    agg = CommunityAggregates.from_partition(graph, part)
-    final = trace[-1]
+    final = trace[-1]  # the returned partition's exact record
+    q_t_min = final.q_1 + (1 - t_min) * final.alpha
     lines = [f"n {graph.n}", f"z {graph.z}", f"t_min {rounded(t_min)}",
-             f"communities {len(part)}", f"q_t_min {rounded(agg.score(t_min))}",
-             f"q_1 {rounded(agg.score(1))}", f"final_resolution {rounded(final.t_exact)}",
+             f"communities {len(part)}", f"q_t_min {rounded(q_t_min)}",
+             f"q_1 {rounded(final.q_1)}", f"final_resolution {rounded(final.t_exact)}",
              f"sweeps {len(trace) - 1}"]
     if args.exact_report:
         fr = final.t_exact

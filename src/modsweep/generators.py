@@ -3,7 +3,8 @@
 Two families: the daisy, a hub joined to many three-vertex petals, which
 shows how stable community sizes are pinned by the total weight rather than
 by visible structure; and complete binary trees, for which a sharp upper
-bound on the best achievable score has a closed form.
+bound on the best achievable score has a closed form.  Every generator
+builds its graph through ``Graph.from_edge_list``.
 """
 
 from __future__ import annotations
@@ -26,17 +27,10 @@ def daisy_graph(r: int) -> Graph:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    m = 25 * r
-    adj: list[dict[int, int]] = [None] * (1 + 3 * m)  # type: ignore[list-item]
-    center: dict[int, int] = {}
-    for i in range(m):
-        hub = 1 + 3 * i
-        center[hub] = 1
-        adj[hub] = {0: 1, hub + 1: 1, hub + 2: 1}
-        adj[hub + 1] = {hub: 1}
-        adj[hub + 2] = {hub: 1}
-    adj[0] = center
-    return Graph(adj)
+    edges = []
+    for hub in range(1, 1 + 75 * r, 3):
+        edges += [(0, hub, 1), (hub, hub + 1, 1), (hub, hub + 2, 1)]
+    return Graph.from_edge_list(edges)
 
 
 def daisy_reference_modularity(r: int) -> Fraction:
@@ -70,14 +64,7 @@ def complete_binary_tree(height: int) -> Graph:
     if height < 1:
         raise ValueError("height must be at least 1")
     n = (1 << (height + 1)) - 1
-    first_leaf = (1 << height) - 1
-    adj: list[dict[int, int]] = [None] * n  # type: ignore[list-item]
-    adj[0] = {1: 1, 2: 1}
-    for i in range(1, first_leaf):
-        adj[i] = {(i - 1) >> 1: 1, 2 * i + 1: 1, 2 * i + 2: 1}
-    for i in range(first_leaf, n):
-        adj[i] = {(i - 1) >> 1: 1}
-    return Graph(adj)
+    return Graph.from_edge_list([((v - 1) >> 1, v, 1) for v in range(1, n)])
 
 
 @dataclass(frozen=True)
@@ -117,26 +104,17 @@ def tree_core_partition(height: int) -> Partition:
 
     The core block is the top subtree of height ceil((height-2)/2); every
     remaining component (a dangling subtree) forms its own block, giving
-    1 + 2**(h+1) blocks.
+    1 + 2**(h+1) blocks, labelled in one pass since parents come first.
     """
     if height < 3:
         raise ValueError("height must be at least 3")
     n = (1 << (height + 1)) - 1
     h = _core_height(height)
     core_end = (1 << (h + 1)) - 1
-    label = [0] * n
-    nxt = 1
-    for root in range(core_end, (1 << (h + 2)) - 1):
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            label[u] = nxt
-            c = 2 * u + 1
-            if c < n:
-                stack.append(c)
-                if c + 1 < n:
-                    stack.append(c + 1)
-        nxt += 1
+    label = [0] * core_end
+    for v in range(core_end, n):
+        parent = (v - 1) >> 1
+        label.append(v if parent < core_end else label[parent])
     return Partition(label)
 
 

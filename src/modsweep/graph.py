@@ -94,10 +94,10 @@ def load_edge_list(source) -> tuple[Graph, list[str]]:
     """Parse a line-oriented edge list into a graph plus its label table.
 
     Each non-comment line is ``u v [w]`` with arbitrary string labels and an
-    optional positive integer weight (default 1).  ``#`` starts a comment.
-    Duplicate lines accumulate; a line ``v v w`` adds a self-loop storing
-    ``2*w`` on the diagonal.  Labels are assigned dense indices in order of
-    first appearance; the returned list maps index back to label.
+    optional positive weight in ASCII digits (default 1).  ``#`` starts a
+    comment.  Duplicate lines accumulate; a line ``v v w`` adds a self-loop
+    storing ``2*w`` on the diagonal.  Labels are assigned dense indices in
+    order of first appearance; the returned list maps index back to label.
     """
     index: dict[str, int] = {}
     edges: list[tuple[int, int, int]] = []
@@ -108,6 +108,8 @@ def load_edge_list(source) -> tuple[Graph, list[str]]:
         if len(parts) == 3:
             try:
                 w = int(parts[2])
+                if w > 0 and not (parts[2].isascii() and parts[2].isdigit()):
+                    raise ValueError(parts[2])  # '+5', '1_0' or non-ASCII digits
             except ValueError:
                 raise FormatError(f"line {lineno}: weight {parts[2]!r} is not an integer") from None
             if w <= 0:

@@ -7,13 +7,16 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 import modsweep
+from modsweep import load_edge_list, modularity, parse_partition
 from modsweep.cli import build_parser, main
+from modsweep.rational import rounded
 
 BARBELL_TEXT = "a b\nb c\na c\nd e\ne f\nd f\nc d\n"
 
@@ -77,6 +80,21 @@ class TestDetect:
         assert f"q_t {q_line.split()[1]}" in score_out
         assert "k 2" in score_out
         assert "alpha 0.5" in score_out
+
+    @pytest.mark.parametrize("t_min", ["0.7", "1", "1.3", "3"])
+    def test_scores_match_the_partition(self, capsys, tmp_path, t_min):
+        """The summary's scores, read from the sweep's last trace record,
+        are those of the printed partition on the input graph."""
+        karate = str(files("modsweep").joinpath("data/karate.edges"))
+        path = tmp_path / "karate.parts"
+        code, out, _ = run_cli(capsys, "detect", karate, "--t-min", t_min,
+                               "--output", str(path))
+        assert code == 0
+        graph, labels = load_edge_list(Path(karate).read_text())
+        part = parse_partition(path.read_text(), labels)
+        summary = dict(line.split() for line in out.splitlines())
+        assert summary["q_t_min"] == rounded(modularity(graph, part, Fraction(t_min)))
+        assert summary["q_1"] == rounded(modularity(graph, part, 1))
 
     def test_exact_report(self, capsys, barbell_file):
         code, out, _ = run_cli(capsys, "detect", barbell_file, "--exact-report")
@@ -295,7 +313,8 @@ class TestErrors:
 
 def test_printed_bytes_are_pinned(capsys, tmp_path):
     """sha256 of the text the CLI prints for karate: the detect summary, its
-    trace CSV and partition file, and the verify report of that partition."""
+    trace CSV and partition file, and the verify report of that partition;
+    and of three ``gen`` outputs."""
     def digest(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -312,6 +331,16 @@ def test_printed_bytes_are_pinned(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", karate, str(part), "--t", "1")
     assert code == 0
     assert digest(out) == "134964fc8c56feb65083619a0f6fb91e5e7eb4cc9e32eb1e61cf648b5aeebfd0"
+    for argv, expected in (
+            (("tree", "--height", "12"),
+             "4ab513c4beaddb66deef2d90bc0540140186f396d48bd8eeabdcf61134fb0092"),
+            (("daisy", "--r", "3"),
+             "bce9d762c0433114e5e305cee4308679a7e1263c3e5b0f1b92bad0e100543ccc"),
+            (("tree-partition", "--height", "9"),
+             "4f60affb0b0751b37d2e96427e1f3e22f57cb092b6e5d38abaacdfa2740a0b02")):
+        code, out, _ = run_cli(capsys, "gen", *argv)
+        assert code == 0
+        assert digest(out) == expected, argv
 
 
 def _calls(node: ast.AST, name: str, scope: tuple[str, ...] = ()):
@@ -341,6 +370,12 @@ def test_only_text_output_rounds_to_float():
 def test_only_main_writes_stdout():
     """Commands return their text; ``cli.main`` alone writes it."""
     assert _call_sites("print", "sys.stdout.write") == {"cli.py:main"}
+
+
+def test_one_graph_builder():
+    """Graphs are built by ``Graph.from_edge_list``, which calls ``cls``;
+    only ``quotient`` hands ``Graph`` an adjacency of its own."""
+    assert _call_sites("Graph") == {"graph.py:quotient"}
 
 
 def _flags(parser: argparse.ArgumentParser) -> set[str]:

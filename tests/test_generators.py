@@ -183,10 +183,15 @@ class TestTreeCorePartition:
         assert len(tree_core_partition(10)) == 33
 
     def test_blocks_are_connected(self):
-        for height in (3, 4, 5, 6):
+        """The core is the top subtree of height ceil((height-2)/2), and
+        every other block is a component of what remains."""
+        for height in range(3, 15):
             g = complete_binary_tree(height)
             p = tree_core_partition(height)
             assert refine_connected(g, p) == p
+            core_end = (1 << ((height - 1) // 2 + 1)) - 1
+            core = Partition([0 if v < core_end else 1 for v in range(g.n)])
+            assert p == refine_connected(g, core)
 
     @pytest.mark.parametrize("height,_,score", TREE_TABLE[:4])
     def test_materialized_score_matches_closed_form(self, height, _, score):

@@ -66,6 +66,17 @@ class TestLoadEdgeList:
         with pytest.raises(FormatError):
             load_edge_list("a b -2")
 
+    @pytest.mark.parametrize("weight,message", [
+        ("1_0", "is not an integer"), ("+5", "is not an integer"),
+        ("\u0663", "is not an integer"), ("\uff15", "is not an integer"),
+        ("x", "is not an integer"), ("1.5", "is not an integer"),
+        ("0", "must be positive, got 0"), ("-1", "must be positive, got -1")])
+    def test_weight_is_ascii_digits(self, weight, message):
+        """int() also reads underscores, a sign and non-ASCII digits; the
+        format takes a weight only as ASCII digits."""
+        with pytest.raises(FormatError, match=message):
+            load_edge_list(f"a b {weight}")
+
     def test_bad_arity_rejected(self):
         with pytest.raises(FormatError):
             load_edge_list("a\n")
