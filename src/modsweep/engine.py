@@ -128,11 +128,11 @@ class SweepEngine:
     the module docstring).  The sweep never reads the input ``graph`` after
     construction; only ``check_stable`` does, to certify the result.
 
-    Counters, all plain ints: ``merges``; ``heap_pushes``, the entries
-    pushed one at a time into the candidate rows and the global heap;
-    ``stale_pops``, the invalidated entries popped, lapsed row entries that
-    are filed again among them; and ``max_rewired``, the most adjacency
-    entries moved in one merge.
+    Counters, all plain ints: ``merges``; ``max_group``, the most merges in
+    one ``resolution_sweep``; ``heap_pushes``, entries pushed one at a time
+    into the candidate rows and the global heap; ``stale_pops``, invalidated
+    entries popped, lapsed row entries filed again among them; and
+    ``max_rewired``, the most adjacency entries moved in one merge.
     """
 
     def __init__(self, graph: Graph):
@@ -149,7 +149,7 @@ class SweepEngine:
         # merge forest: an absorbed id links to its absorber, a smaller id
         self._parent = ids[:]
         self.deg_sq = sum(d * d for d in deg)
-        self.merges = 0
+        self.merges = self.max_group = 0
         self.heap_pushes = 0
         self.stale_pops = 0
         self.max_rewired = 0
@@ -377,6 +377,7 @@ class SweepEngine:
         heap = self._heap
         refill = self._refill
         merge = self._merge
+        merges = self.merges
         # each refill leaves a current front at the exact maximum ratio, so
         # the resolution holds while that front keeps its key
         k = heap[0][0]
@@ -385,6 +386,7 @@ class SweepEngine:
             merge(a, b, o)
             if not refill()[0] or heap[0][0] != k:
                 break
+        self.max_group = max(self.max_group, self.merges - merges)
         return self.record_trace()
 
     def check_stable(self, t) -> Partition:

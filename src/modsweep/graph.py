@@ -23,25 +23,17 @@ class Graph:
     """Immutable weighted graph over dense vertex indices 0..n-1.
 
     ``adj[u]`` maps each neighbour ``v`` (possibly ``u`` itself) to the
-    integer weight ``m(u, v)``.  Construction computes weighted degrees and
-    the ordered-pair total ``z`` and validates every graph: weights are
-    positive integers, symmetric and in range, and no vertex is isolated.
-    Treat instances as read-only afterwards.
+    integer weight ``m(u, v)``; treat instances as read-only.  ``Graph(adj)``
+    checks every entry's range, weight and symmetry; ``from_edge_list``
+    checks each triple and writes both directions.  Both compute degrees and
+    ``z``, and reject an empty vertex set and any isolated vertex.
     """
 
     __slots__ = ("n", "adj", "deg", "z")
 
     def __init__(self, adj: list[dict[int, int]]):
-        if not adj:
-            raise ValueError("a graph needs at least one vertex")
-        self.n = len(adj)
-        self.adj = adj
-        self.deg = [sum(nbrs.values()) for nbrs in adj]
-        self.z = sum(self.deg)
-        self._validate()
-
-    def _validate(self) -> None:
-        for u, nbrs in enumerate(self.adj):
+        self._build(adj)
+        for u, nbrs in enumerate(adj):
             if self.deg[u] <= 0:
                 raise IsolatedVertexError(f"vertex {u} has zero total degree")
             for v, w in nbrs.items():
@@ -49,8 +41,17 @@ class Graph:
                     raise ValueError(f"neighbour {v} of vertex {u} out of range")
                 if type(w) is not int or w <= 0:
                     raise ValueError(f"weight m({u},{v})={w!r} is not a positive integer")
-                if self.adj[v].get(u) != w:
+                if adj[v].get(u) != w:
                     raise ValueError(f"asymmetric weights between {u} and {v}")
+
+    def _build(self, adj: list[dict[int, int]]) -> None:
+        """Set ``n``, ``adj``, ``deg`` and ``z``; reject an empty vertex set."""
+        if not adj:
+            raise ValueError("a graph needs at least one vertex")
+        self.n = len(adj)
+        self.adj = adj
+        self.deg = [sum(nbrs.values()) for nbrs in adj]
+        self.z = sum(self.deg)
 
     @classmethod
     def from_edge_list(cls, edges: Iterable[tuple[int, int, int]], n: int | None = None) -> "Graph":
@@ -60,8 +61,8 @@ class Graph:
         A triple with ``u == v`` adds ``2*w`` to the stored diagonal,
         mirroring the edge-list loop convention.
         """
-        edges = list(edges)
         if n is None:
+            edges = list(edges)
             if not edges:
                 raise ValueError("an empty edge list needs a vertex count n")
             n = 1 + max(max(u, v) for u, v, _ in edges)
@@ -76,7 +77,11 @@ class Graph:
             else:
                 adj[u][v] = adj[u].get(v, 0) + w
                 adj[v][u] = adj[v].get(u, 0) + w
-        return cls(adj)
+        graph = cls.__new__(cls)
+        graph._build(adj)
+        if 0 in graph.deg:
+            raise IsolatedVertexError(f"vertex {graph.deg.index(0)} has zero total degree")
+        return graph
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield each unordered pair once as (u, v, w) with u <= v.

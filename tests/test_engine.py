@@ -418,6 +418,18 @@ class TestCounters:
             eng.resolution_sweep()
         assert (eng.merges, eng.heap_pushes, eng.stale_pops, eng.max_rewired) == expected
 
+    @pytest.mark.parametrize("name", ["karate", "tree"])
+    def test_max_group_is_the_largest_drop_in_k(self, karate, name):
+        """``max_group``, the most merges in one resolution sweep, equals the
+        largest drop in the community count between consecutive records."""
+        g = karate[0] if name == "karate" else complete_binary_tree(10)
+        eng = SweepEngine(g)
+        eng.record_trace()
+        while eng.resolution() > 0:
+            eng.resolution_sweep()
+        ks = [rec.k for rec in eng.trace]
+        assert eng.max_group == max(a - b for a, b in zip(ks, ks[1:])) > 1
+
 
 class TestBookkeeping:
     def test_running_sums_match_the_kernel(self):

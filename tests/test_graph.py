@@ -150,6 +150,24 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=r"\(-1, -1, 1\).*n=2"):
             Graph.from_edge_list([(-1, -1, 1), (0, 1, 1)])
 
+    def test_trusted_build_rejects_isolated_and_empty(self):
+        """``from_edge_list`` skips the per-entry check but still rejects
+        isolated vertices and an empty vertex set, with the same messages."""
+        with pytest.raises(IsolatedVertexError, match="^vertex 2 has zero total degree$"):
+            Graph.from_edge_list([(0, 1, 1)], n=3)
+        with pytest.raises(IsolatedVertexError, match="^vertex 0 has zero total degree$"):
+            Graph.from_edge_list([], n=2)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Graph.from_edge_list([], n=0)
+
+    def test_first_fault_in_row_order(self):
+        """``Graph(adj)`` checks row by row: a bad entry in an earlier row is
+        reported before a later isolated vertex, and the other way round."""
+        with pytest.raises(ValueError, match="^asymmetric weights between 0 and 1$"):
+            Graph([{1: 1}, {0: 2}, {}])
+        with pytest.raises(IsolatedVertexError, match="^vertex 0 has zero total degree$"):
+            Graph([{}, {5: 1}])
+
     def test_degree_sum_equals_total(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -174,6 +192,56 @@ class TestGraphInvariants:
         # an odd diagonal has no loop lines
         with pytest.raises(ValueError):
             format_edge_list(Graph([{0: 3}]))
+
+
+def _full_check_accepts(g: Graph) -> None:
+    """The public constructor's per-entry check accepts a copy of ``g``, and
+    the copy has the same rows, row order, degrees and total."""
+    copy = Graph([dict(row) for row in g.adj])
+    assert copy.adj == g.adj and copy.deg == g.deg and copy.z == g.z
+    assert [list(row) for row in copy.adj] == [list(row) for row in g.adj]
+
+
+class TestTrustedBuild:
+    """``Graph.from_edge_list`` does not re-check the adjacency it builds;
+    everything it builds must pass that check."""
+
+    def test_random_triple_lists(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            triples = []
+            for _ in range(rng.randint(0, 3 * n)):
+                if triples and rng.random() < 0.2:
+                    triples.append(rng.choice(triples))
+                    continue
+                u = rng.randrange(n)
+                v = u if rng.random() < 0.15 else rng.randrange(n)
+                triples.append((u, v, rng.choice((1, rng.randint(1, 9), rng.randint(1, 2**70)))))
+            covered = {x for u, v, _ in triples for x in (u, v)}
+            triples += [(v, v, rng.randint(1, 3)) for v in range(n) if v not in covered]
+            rng.shuffle(triples)
+            # with n given, a one-shot iterator is enough
+            g = Graph.from_edge_list(iter(triples), n=n)
+            _full_check_accepts(g)
+            assert [list(row.items()) for row in Graph.from_edge_list(triples).adj] == (
+                [list(row.items()) for row in g.adj])
+
+    def test_random_edge_list_texts(self):
+        rng = random.Random(17)
+        labels = ["a", "b", "c", "d", "e", "x1", "0", "10"]
+        for _ in range(300):
+            lines = []
+            for _ in range(rng.randint(1, 12)):
+                u = rng.choice(labels)
+                v = u if rng.random() < 0.15 else rng.choice(labels)
+                w = rng.choice(("", " 1", f" {rng.randint(1, 9)}", f" {rng.randint(1, 2**70)}"))
+                lines.append(f"{u} {v}{w}")
+                if rng.random() < 0.1:
+                    lines.append("# comment")
+            lines += rng.choices(lines, k=rng.randint(0, 3))
+            g, _ = load_edge_list("\n".join(lines))
+            _full_check_accepts(g)
 
 
 class TestQuotient:
