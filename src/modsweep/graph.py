@@ -32,17 +32,18 @@ class Graph:
     __slots__ = ("n", "adj", "deg", "z")
 
     def __init__(self, adj: list[dict[int, int]]):
-        self._build(adj)
+        n = len(adj)
         for u, nbrs in enumerate(adj):
-            if self.deg[u] <= 0:
+            if not nbrs:
                 raise IsolatedVertexError(f"vertex {u} has zero total degree")
             for v, w in nbrs.items():
-                if not (0 <= v < self.n):
+                if not (0 <= v < n):
                     raise ValueError(f"neighbour {v} of vertex {u} out of range")
                 if type(w) is not int or w <= 0:
                     raise ValueError(f"weight m({u},{v})={w!r} is not a positive integer")
                 if adj[v].get(u) != w:
                     raise ValueError(f"asymmetric weights between {u} and {v}")
+        self._build(adj)
 
     def _build(self, adj: list[dict[int, int]]) -> None:
         """Set ``n``, ``adj``, ``deg`` and ``z``; reject an empty vertex set."""
@@ -54,29 +55,33 @@ class Graph:
         self.z = sum(self.deg)
 
     @classmethod
-    def from_edge_list(cls, edges: Iterable[tuple[int, int, int]], n: int | None = None) -> "Graph":
-        """Build a graph from (u, v, w) triples.
+    def from_edge_list(cls, edges: Iterable[tuple[int, int, int]]) -> "Graph":
+        """Build a graph from (u, v, w) triples, read in one pass.
 
-        Each weight must be a positive int.  Duplicate triples accumulate.
-        A triple with ``u == v`` adds ``2*w`` to the stored diagonal,
-        mirroring the edge-list loop convention.
+        The vertices are ``0..n-1``, where ``n`` is one more than the largest
+        vertex named, so each of them must appear in a triple.  Each vertex
+        must be a non-negative int and each weight a positive int.
+        Duplicate triples accumulate.  A triple with ``u == v`` adds ``2*w``
+        to the stored diagonal, mirroring the edge-list loop convention.
         """
-        if n is None:
-            edges = list(edges)
-            if not edges:
-                raise ValueError("an empty edge list needs a vertex count n")
-            n = 1 + max(max(u, v) for u, v, _ in edges)
-        adj: list[dict[int, int]] = [dict() for _ in range(n)]
+        adj: list[dict[int, int]] = []
         for u, v, w in edges:
             if type(w) is not int or w <= 0:
                 raise ValueError(f"edge {(u, v, w)} has a weight that is not a positive integer")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {(u, v, w)} has a vertex out of range for n={n}")
+            if type(u) is not int or type(v) is not int or u < 0 or v < 0:
+                raise ValueError(f"edge {(u, v, w)} has a vertex that is not a non-negative integer")
+            try:
+                row, col = adj[u], adj[v]
+            except IndexError:  # grow by an eighth or more, so this runs O(log n) times
+                adj += [{} for _ in range(max(u, v) + 1 + len(adj) // 8 - len(adj))]
+                row, col = adj[u], adj[v]
             if u == v:
-                adj[u][u] = adj[u].get(u, 0) + 2 * w
+                row[u] = row.get(u, 0) + 2 * w
             else:
-                adj[u][v] = adj[u].get(v, 0) + w
-                adj[v][u] = adj[v].get(u, 0) + w
+                row[v] = row.get(v, 0) + w
+                col[u] = col.get(u, 0) + w
+        while adj and not adj[-1]:  # the largest vertex named has a nonempty row
+            adj.pop()
         graph = cls.__new__(cls)
         graph._build(adj)
         if 0 in graph.deg:
@@ -124,7 +129,7 @@ def load_edge_list(source) -> tuple[Graph, list[str]]:
         edges.append((u, v, w))
     if not edges:
         raise FormatError("no edges found in input")
-    return Graph.from_edge_list(edges, n=len(index)), list(index)
+    return Graph.from_edge_list(edges), list(index)
 
 
 def format_edge_list(graph: Graph, labels: list[str] | None = None) -> str:

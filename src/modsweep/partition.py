@@ -18,37 +18,27 @@ if TYPE_CHECKING:  # pragma: no cover
 class Partition:
     """A partition of vertices 0..n-1 into nonempty blocks.
 
-    ``assign[v]`` is the dense community id of vertex ``v``; ``blocks[c]``
-    lists the vertices of community ``c`` in ascending order.
+    ``assign[v]`` is the dense community id of vertex ``v`` and ``k`` is the
+    number of blocks, so the ids are exactly ``0..k-1``.
     """
 
-    __slots__ = ("assign", "blocks")
+    __slots__ = ("assign", "k")
 
     def __init__(self, assignment: Iterable):
-        assignment = list(assignment)
-        if not assignment:
-            raise ValueError("cannot partition an empty vertex set")
         remap: dict = {}
-        assign = [0] * len(assignment)
-        for v, raw in enumerate(assignment):
-            cid = remap.get(raw)
-            if cid is None:
-                cid = remap[raw] = len(remap)
-            assign[v] = cid
-        blocks: list[list[int]] = [[] for _ in range(len(remap))]
-        for v, c in enumerate(assign):
-            blocks[c].append(v)
-        self.assign = assign
-        self.blocks = blocks
+        self.assign = [remap.setdefault(raw, len(remap)) for raw in assignment]
+        if not self.assign:
+            raise ValueError("cannot partition an empty vertex set")
+        self.k = len(remap)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self.k
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.assign == other.assign
 
     def __repr__(self) -> str:
-        return f"Partition({len(self.assign)} vertices, {len(self.blocks)} blocks)"
+        return f"Partition({len(self.assign)} vertices, {self.k} blocks)"
 
 
 def singleton_partition(graph: "Graph") -> Partition:
@@ -96,7 +86,7 @@ def refine_connected(graph: "Graph", partition: Partition) -> Partition:
 
 def compose(partition: Partition, block_partition: Partition) -> Partition:
     """Coarsen ``partition`` by grouping its blocks per ``block_partition``."""
-    if len(block_partition.assign) != len(partition.blocks):
+    if len(block_partition.assign) != partition.k:
         raise ValueError("block partition does not cover the block set")
     return Partition([block_partition.assign[c] for c in partition.assign])
 

@@ -68,7 +68,15 @@ def random_graph(rng: random.Random, n: int, p: float = 0.35, max_w: int = 3,
             else:
                 other = rng.choice([u for u in range(n) if u != v])
                 add(v, other, rng.randint(1, max_w))
-    return Graph.from_edge_list([(u, v, w) for (u, v), w in acc.items()], n=n)
+    return Graph.from_edge_list([(u, v, w) for (u, v), w in acc.items()])
+
+
+def blocks(part: Partition) -> list[list[int]]:
+    """The vertices of each block of ``part`` in ascending order, by block id."""
+    out: list[list[int]] = [[] for _ in range(len(part))]
+    for v, c in enumerate(part.assign):
+        out[c].append(v)
+    return out
 
 
 def random_partition(rng: random.Random, n: int, k: int | None = None) -> Partition:
@@ -148,7 +156,7 @@ def stoer_wagner_min_cut(graph: Graph) -> int:
 
 def relabelled(edges, label: list[int]) -> Graph:
     """Graph on the edge list with vertex v renamed ``label[v]``."""
-    return Graph.from_edge_list([(label[u], label[v], w) for u, v, w in edges], n=len(label))
+    return Graph.from_edge_list([(label[u], label[v], w) for u, v, w in edges])
 
 
 def windmill_edges(blades: int) -> list[tuple[int, int, int]]:
@@ -180,7 +188,8 @@ def zero_pairs(graph: Graph, part: Partition, t) -> list[tuple[int, int]]:
     each naming its blocks by their smallest members, as
     ``SweepEngine.merge_step`` does."""
     agg = CommunityAggregates.from_partition(graph, part)
-    return sorted((part.blocks[a][0], part.blocks[b][0])
+    first = [vs[0] for vs in blocks(part)]
+    return sorted((first[a], first[b])
                   for a, b, _ in agg.pairs() if agg.excess(a, b, t) == 0)
 
 

@@ -23,6 +23,7 @@ from modsweep import (
 
 from conftest import (
     BARBELL_EDGES,
+    blocks,
     brute_force_min_cut,
     random_graph,
     random_partition,
@@ -110,7 +111,8 @@ class TestGraphInvariants:
             Graph([{1: 1}, {0: 2}])
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
+        """The weight is named, not the zero degree it would give its row."""
+        with pytest.raises(ValueError, match=r"^weight m\(0,1\)=0 is not a positive integer$"):
             Graph([{1: 0}, {0: 0}])
 
     def test_no_vertex_rejected(self):
@@ -124,6 +126,8 @@ class TestGraphInvariants:
     def test_non_int_weight_rejected(self):
         with pytest.raises(ValueError, match=r"m\(0,1\)=1\.5 is not a positive integer"):
             Graph([{1: 1.5}, {0: 1.5}])
+        with pytest.raises(ValueError, match=r"^weight m\(0,1\)='a' is not a positive integer$"):
+            Graph([{1: "a"}, {0: "a"}])
 
     @pytest.mark.parametrize("edges, bad", [
         ([(0, 1, -1), (0, 1, 2)], (0, 1, -1)),
@@ -138,27 +142,23 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=re.escape(f"edge {bad} has a weight")):
             Graph.from_edge_list(edges)
 
-    def test_empty_edge_list_needs_vertex_count(self):
-        with pytest.raises(ValueError, match="needs a vertex count"):
-            Graph.from_edge_list([])
-
-    def test_edge_beyond_vertex_count_rejected(self):
-        with pytest.raises(ValueError, match=r"\(0, 5, 1\).*n=3"):
-            Graph.from_edge_list([(0, 5, 1)], n=3)
-        with pytest.raises(ValueError, match=r"\(0, -1, 1\).*n=3"):
-            Graph.from_edge_list([(0, -1, 1)], n=3)
-        with pytest.raises(ValueError, match=r"\(-1, -1, 1\).*n=2"):
-            Graph.from_edge_list([(-1, -1, 1), (0, 1, 1)])
+    def test_vertex_not_a_nonnegative_int_rejected(self):
+        """A vertex is a non-negative int; a bool or a float equal to one is
+        not, and the error names the triple."""
+        for bad in [(True, 0, 1), (0.0, 1, 1), (0, 1.0, 1), (-1, 0, 1)]:
+            with pytest.raises(ValueError, match=re.escape(f"edge {bad} has a vertex that is not a")):
+                Graph.from_edge_list([(0, 1, 1), bad])
 
     def test_trusted_build_rejects_isolated_and_empty(self):
         """``from_edge_list`` skips the per-entry check but still rejects
-        isolated vertices and an empty vertex set, with the same messages."""
-        with pytest.raises(IsolatedVertexError, match="^vertex 2 has zero total degree$"):
-            Graph.from_edge_list([(0, 1, 1)], n=3)
-        with pytest.raises(IsolatedVertexError, match="^vertex 0 has zero total degree$"):
-            Graph.from_edge_list([], n=2)
-        with pytest.raises(ValueError, match="at least one vertex"):
-            Graph.from_edge_list([], n=0)
+        isolated vertices and an empty vertex set, with the same messages.
+        Its vertices are 0..n-1 for the largest vertex named, so a vertex
+        below that which no triple names is isolated."""
+        with pytest.raises(IsolatedVertexError, match="^vertex 1 has zero total degree$"):
+            Graph.from_edge_list([(0, 2, 1)])
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
+                Graph.from_edge_list(empty)
 
     def test_first_fault_in_row_order(self):
         """``Graph(adj)`` checks row by row: a bad entry in an earlier row is
@@ -221,8 +221,9 @@ class TestTrustedBuild:
             covered = {x for u, v, _ in triples for x in (u, v)}
             triples += [(v, v, rng.randint(1, 3)) for v in range(n) if v not in covered]
             rng.shuffle(triples)
-            # with n given, a one-shot iterator is enough
-            g = Graph.from_edge_list(iter(triples), n=n)
+            # the triples are read in one pass, so a one-shot iterator is enough
+            g = Graph.from_edge_list(iter(triples))
+            assert g.n == n
             _full_check_accepts(g)
             assert [list(row.items()) for row in Graph.from_edge_list(triples).adj] == (
                 [list(row.items()) for row in g.adj])
@@ -283,7 +284,7 @@ class TestConnectedComponents:
 
     def test_two_triangles(self, two_triangles):
         comp = connected_components(two_triangles)
-        assert [set(b) for b in comp.blocks] == [{0, 1, 2}, {3, 4, 5}]
+        assert blocks(comp) == [[0, 1, 2], [3, 4, 5]]
 
     def test_loops_do_not_connect(self):
         g = Graph.from_edge_list([(0, 1, 1), (2, 2, 1)])
@@ -309,7 +310,7 @@ def clustered_graph(rng: random.Random, n: int) -> Graph:
         start = block.stop
     edges += [(a, b, 1) for a, b in zip(heads, heads[1:])]
     edges += [(rng.randrange(n), rng.randrange(n), 1) for _ in range(len(heads) // 2)]
-    return Graph.from_edge_list(edges, n=n)
+    return Graph.from_edge_list(edges)
 
 
 def grid_edges(side: int) -> list[tuple[int, int, int]]:

@@ -23,7 +23,7 @@ from modsweep import (
     tree_core_partition,
 )
 
-from conftest import random_graph, random_partition
+from conftest import blocks, random_graph, random_partition
 
 
 class TestModularity:
@@ -70,7 +70,7 @@ class TestNetworkxCrossCheck:
     def nx_modularity(nx, g, part, t):
         G = nx.Graph()
         G.add_weighted_edges_from((u, v, w // 2 if u == v else w) for u, v, w in g.edges())
-        return nx.community.modularity(G, [set(b) for b in part.blocks], resolution=t)
+        return nx.community.modularity(G, [set(b) for b in blocks(part)], resolution=t)
 
     @pytest.mark.parametrize("t", [Fraction(1), Fraction(3, 2)])
     def test_karate(self, karate, t):

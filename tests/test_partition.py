@@ -20,14 +20,30 @@ from modsweep import (
     singleton_partition,
 )
 
-from conftest import random_graph, random_partition
+from conftest import blocks, random_graph, random_partition
 
 
 class TestPartitionBasics:
     def test_dense_renumbering_by_first_seen(self):
         p = Partition([7, 7, 3, 7, 3])
         assert p.assign == [0, 0, 1, 0, 1]
-        assert p.blocks == [[0, 1, 3], [2, 4]]
+        assert blocks(p) == [[0, 1, 3], [2, 4]]
+        rng = random.Random(17)
+        for _ in range(200):
+            alphabet = rng.choice((range(rng.randint(1, 30)), "abcdefgh", (None, -1, 2.5, "x", (0,))))
+            tokens = [rng.choice(alphabet) for _ in range(rng.randint(1, 40))]
+            seen: list = []
+            for tok in tokens:
+                if tok not in seen:
+                    seen.append(tok)
+            p = Partition(iter(tokens))
+            assert p.assign == [seen.index(tok) for tok in tokens]
+            assert len(p) == len(set(tokens)) == max(p.assign) + 1
+            for wrong in (len(p) - 1, len(p) + 1):
+                if wrong:
+                    with pytest.raises(ValueError, match="does not cover the block set"):
+                        compose(p, Partition(range(wrong)))
+            assert compose(p, Partition(range(len(p)))) == p
 
     def test_singletons(self, triangle):
         assert len(singleton_partition(triangle)) == 3

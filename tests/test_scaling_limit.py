@@ -20,7 +20,7 @@ def ring_of_cliques(r: int, m: int) -> Graph:
     (mod r)."""
     edges = [(i * m + a, i * m + b, 1) for i in range(r) for a in range(m) for b in range(a + 1, m)]
     edges += [(i * m + m - 1, (i + 1) % r * m, 1) for i in range(r)]
-    return Graph.from_edge_list(edges, n=r * m)
+    return Graph.from_edge_list(edges)
 
 
 def _cases():
