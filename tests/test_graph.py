@@ -149,6 +149,13 @@ class TestGraphInvariants:
             with pytest.raises(ValueError, match=re.escape(f"edge {bad} has a vertex that is not a")):
                 Graph.from_edge_list([(0, 1, 1), bad])
 
+    def test_empty_edge_list_needs_vertex_count(self):
+        """``from_edge_list`` reads its vertex count from the triples, so an
+        empty triple list (list or one-shot iterator) names no vertex."""
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
+                Graph.from_edge_list(empty)
+
     def test_trusted_build_rejects_isolated_and_empty(self):
         """``from_edge_list`` skips the per-entry check but still rejects
         isolated vertices and an empty vertex set, with the same messages.
@@ -156,9 +163,8 @@ class TestGraphInvariants:
         below that which no triple names is isolated."""
         with pytest.raises(IsolatedVertexError, match="^vertex 1 has zero total degree$"):
             Graph.from_edge_list([(0, 2, 1)])
-        for empty in ([], iter([])):
-            with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
-                Graph.from_edge_list(empty)
+        with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
+            Graph.from_edge_list([])
 
     def test_first_fault_in_row_order(self):
         """``Graph(adj)`` checks row by row: a bad entry in an earlier row is
