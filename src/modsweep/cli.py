@@ -121,9 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Community detection on weighted graphs via exact resolution sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    graph_help = "edge-list file, '-' for stdin"
+    t_help = "resolution, e.g. 1, 0.7 or 3/2 (default 1)"
 
     p = sub.add_parser("detect", help="run the resolution sweep on an edge list")
-    p.add_argument("graph", nargs="?", default="-", help="edge-list file, '-' for stdin")
+    p.add_argument("graph", nargs="?", default="-", help=graph_help)
     p.add_argument("--t-min", default="1", help="stop once the resolution falls below this")
     p.add_argument("--trace", help="write the per-resolution trace CSV here")
     p.add_argument("--output", help="write the final partition here")
@@ -135,30 +137,33 @@ def build_parser() -> argparse.ArgumentParser:
             ("score", _cmd_score, "score a partition file against a graph"),
             ("verify", _cmd_verify, "check every bound and the stability certificate")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("graph")
-        p.add_argument("partition")
-        p.add_argument("--t", default="1")
-        p.add_argument("--exact-report", action="store_true")
+        p.add_argument("graph", help=graph_help)
+        p.add_argument("partition", help="file of 'vertexLabel communityId' lines")
+        p.add_argument("--t", default="1", help=t_help)
+        p.add_argument("--exact-report", action="store_true",
+                       help="also print t as an integer fraction")
         p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="emit a generated example graph or partition")
     gsub = p.add_subparsers(dest="kind", required=True)
-    for kind, size, text in (("daisy", "--r", "hub with 25*r three-vertex petals"),
-                             ("tree", "--height", "complete binary tree"),
-                             ("tree-partition", "--height", "core-plus-branches tree partition")):
+    for kind, size, size_help, text in (
+            ("daisy", "--r", "petal groups of 25, at least 1", "hub with 25*r three-vertex petals"),
+            ("tree", "--height", "root-to-leaf edges, at least 1", "complete binary tree"),
+            ("tree-partition", "--height", "root-to-leaf edges, at least 3",
+             "core-plus-branches tree partition")):
         g = gsub.add_parser(kind, help=text)
-        g.add_argument(size, type=int, required=True)
-        g.add_argument("--output", default="-")
+        g.add_argument(size, type=int, required=True, help=size_help)
+        g.add_argument("--output", default="-", help="write here, '-' for stdout (default)")
         g.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small graphs")
-    p.add_argument("graph")
-    p.add_argument("--t", default="1")
-    p.add_argument("--output")
+    p.add_argument("graph", help=graph_help)
+    p.add_argument("--t", default="1", help=t_help)
+    p.add_argument("--output", help="write the best partition here, not to stdout")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("mincut", help="global minimum cut of a connected graph")
-    p.add_argument("graph", nargs="?", default="-")
+    p.add_argument("graph", nargs="?", default="-", help=graph_help)
     p.set_defaults(func=_cmd_mincut)
 
     return parser

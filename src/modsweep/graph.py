@@ -24,9 +24,10 @@ class Graph:
 
     ``adj[u]`` maps each neighbour ``v`` (possibly ``u`` itself) to the
     integer weight ``m(u, v)``; treat instances as read-only.  ``Graph(adj)``
-    checks every entry's range, weight and symmetry; ``from_edge_list``
-    checks each triple and writes both directions.  Both compute degrees and
-    ``z``, and reject an empty vertex set and any isolated vertex.
+    checks every entry's key type (an int), range, weight and symmetry;
+    ``from_edge_list`` checks each triple and writes both directions.  Both
+    compute degrees and ``z``, and reject an empty vertex set and any
+    isolated vertex.
     """
 
     __slots__ = ("n", "adj", "deg", "z")
@@ -37,6 +38,8 @@ class Graph:
             if not nbrs:
                 raise IsolatedVertexError(f"vertex {u} has zero total degree")
             for v, w in nbrs.items():
+                if type(v) is not int:
+                    raise ValueError(f"neighbour {v!r} of vertex {u} is not an int")
                 if not (0 <= v < n):
                     raise ValueError(f"neighbour {v} of vertex {u} out of range")
                 if type(w) is not int or w <= 0:
@@ -152,14 +155,12 @@ def format_edge_list(graph: Graph, labels: list[str] | None = None) -> str:
 def quotient(graph: Graph, partition: Partition) -> Graph:
     """Collapse each block to one vertex, summing weights.
 
-    Preserves the total weight ``z`` and block degree sums; the diagonal of
-    block ``C`` accumulates all internal ordered pairs.
+    The adjacency is ``CommunityAggregates.rows``: block ``C``'s diagonal
+    holds its internal ordered-pair weight and its entry for an adjacent
+    block the one-orientation crossing weight, so ``z`` and the block
+    degrees are preserved.
     """
-    agg = CommunityAggregates.from_partition(graph, partition)
-    adj: list[dict[int, int]] = [{c: w} if w else {} for c, w in enumerate(agg.internal)]
-    for a, b, w in agg.pairs():
-        adj[a][b] = adj[b][a] = w
-    return Graph(adj)
+    return Graph(CommunityAggregates.from_partition(graph, partition).rows)
 
 
 def connected_components(graph: Graph) -> Partition:

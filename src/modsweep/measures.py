@@ -1,11 +1,12 @@
 """Edge-mass and null-model measures over community rectangles.
 
-For a partition, all scores reduce to three integer aggregates: the block
-degree ``d(C)``, the internal weight ``w(C)`` (ordered pairs inside ``C``,
-so twice the undirected internal edge weight plus stored loop weight), and
-the one-orientation crossing weight ``w(C, C')`` between adjacent blocks.
-Non-adjacent block pairs have crossing weight 0 implicitly and are not
-stored.  All derived measures are exact ``Fraction`` values.
+For a partition, all scores reduce to the quotient graph's rows: ``rows[c]``
+maps block ``c`` and each block adjacent to it to an integer weight.  The
+diagonal ``rows[c][c]`` is the internal weight ``w(C)`` (ordered pairs
+inside ``C``, so twice the undirected internal edge weight plus stored loop
+weight); ``rows[c][c']`` is the one-orientation crossing weight
+``w(C, C')``, stored in both rows; a row sums to the block degree ``d(C)``.
+Zero entries are not stored.  All derived measures are exact ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -23,42 +24,35 @@ if TYPE_CHECKING:  # pragma: no cover
 class CommunityAggregates:
     """Integer aggregates of a graph under a fixed partition.
 
+    ``rows`` is the quotient graph's adjacency: each diagonal entry holds a
+    block's internal weight, each off-diagonal one a crossing weight.
+    ``block_degree`` holds the row sums and ``internal`` the diagonals.
     ``from_partition`` is the one place block aggregates are summed; scores,
     certificates, bounds and quotient graphs all read them from here.  The
     brute-force oracles sum their own, so tests can compare against them.
     """
 
-    __slots__ = ("z", "k", "block_degree", "internal", "cross")
+    __slots__ = ("z", "k", "rows", "block_degree", "internal")
 
-    def __init__(self, z: int, block_degree: list[int], internal: list[int],
-                 cross: dict[tuple[int, int], int]):
-        self.z = z
-        self.k = len(block_degree)
-        self.block_degree = block_degree
-        self.internal = internal
-        self.cross = cross
+    def __init__(self, rows: list[dict[int, int]]):
+        self.rows = rows
+        self.k = len(rows)
+        self.block_degree = [sum(row.values()) for row in rows]
+        self.internal = [row.get(c, 0) for c, row in enumerate(rows)]
+        self.z = sum(self.block_degree)
 
     @classmethod
     def from_partition(cls, graph: "Graph", partition: "Partition") -> "CommunityAggregates":
         if len(partition.assign) != graph.n:
             raise ValueError("partition does not cover this graph's vertex set")
         assign = partition.assign
-        deg = graph.deg
-        k = len(partition)
-        block_degree = [0] * k
-        internal = [0] * k
-        cross: dict[tuple[int, int], int] = {}
+        rows: list[dict[int, int]] = [{} for _ in range(len(partition))]
         for u, nbrs in enumerate(graph.adj):
-            cu = assign[u]
-            block_degree[cu] += deg[u]
+            row = rows[assign[u]]
             for v, w in nbrs.items():
-                cv = assign[v]
-                if cv == cu:
-                    internal[cu] += w
-                elif u < v:
-                    key = (cu, cv) if cu < cv else (cv, cu)
-                    cross[key] = cross.get(key, 0) + w
-        return cls(graph.z, block_degree, internal, cross)
+                c = assign[v]
+                row[c] = row.get(c, 0) + w
+        return cls(rows)
 
     def _check(self, c: int) -> None:
         if not 0 <= c < self.k:
@@ -68,10 +62,7 @@ class CommunityAggregates:
         """Integer one-orientation crossing weight between two blocks."""
         self._check(a)
         self._check(b)
-        if a == b:
-            return self.internal[a]
-        key = (a, b) if a < b else (b, a)
-        return self.cross.get(key, 0)
+        return self.rows[a].get(b, 0)
 
     def edge_fraction(self, a: int, b: int) -> Fraction:
         """Fraction of the total edge mass in the rectangle a x b."""
@@ -107,8 +98,10 @@ class CommunityAggregates:
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Adjacent block pairs as (a, b, crossing weight), a < b, sorted."""
-        for a, b in sorted(self.cross):
-            yield a, b, self.cross[(a, b)]
+        for a, row in enumerate(self.rows):
+            for b in sorted(row):
+                if b > a:
+                    yield a, b, row[b]
 
     def resolution(self) -> Fraction:
         """Largest ratio observed/expected over distinct adjacent pairs.
@@ -119,7 +112,7 @@ class CommunityAggregates:
         z = self.z
         bd = self.block_degree
         best_num, best_den = 0, 1
-        for (a, b), w in self.cross.items():
+        for a, b, w in self.pairs():
             num = z * w
             den = bd[a] * bd[b]
             if num * best_den > best_num * den:

@@ -99,9 +99,9 @@ class BoundsReport:
     """Every general inequality of the score, evaluated exactly.
 
     ``checks`` holds one row per inequality family (with a witness note on
-    failure); ``scaling`` holds the per-community cut-window rows.  Pass
-    flags are recomputed from the integer aggregates on construction, never
-    cached from elsewhere.  Every number is exact; only ``render`` rounds,
+    failure); ``scaling`` holds the per-community cut-window rows.
+    ``bounds_report`` computes the pass flags from the integer aggregates; a
+    report only holds them.  Every number is exact; only ``render`` rounds,
     and it raises OverflowError on a value beyond the float range.
     """
     t: Fraction

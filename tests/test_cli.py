@@ -389,6 +389,21 @@ def _flags(parser: argparse.ArgumentParser) -> set[str]:
     return flags
 
 
+def test_every_argument_has_help():
+    """``--help`` of every command and gen kind gives each argument a line
+    of text: subcommands through their choice lines, the rest through their
+    own help, argparse's -h aside."""
+    parsers = [build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                assert all(choice.help for choice in action._choices_actions), parser.prog
+                parsers += action.choices.values()
+            elif not isinstance(action, argparse._HelpAction):
+                assert action.help, (parser.prog, action.dest)
+    assert len(parsers) == 10
+
+
 def test_readme_synopsis_matches_the_parser():
     """Each subcommand has one synopsis line in the README's CLI section
     that names exactly the options the parser accepts."""

@@ -122,6 +122,11 @@ class TestGraphInvariants:
     def test_neighbour_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="neighbour 1 of vertex 0 out of range"):
             Graph([{1: 1}])
+        # a key equal to an index but not an int: bool, float
+        with pytest.raises(ValueError, match="^neighbour True of vertex 0 is not an int$"):
+            Graph([{True: 1}, {0: 1}])
+        with pytest.raises(ValueError, match=r"^neighbour 1\.0 of vertex 0 is not an int$"):
+            Graph([{1.0: 1}, {0: 1}])
 
     def test_non_int_weight_rejected(self):
         with pytest.raises(ValueError, match=r"m\(0,1\)=1\.5 is not a positive integer"):
@@ -282,6 +287,14 @@ class TestQuotient:
             for v in range(n):
                 sums[p.assign[v]] += g.deg[v]
             assert q.deg == sums
+            # every entry, diagonal included, is its block sum; none is stored as 0
+            block = [[0] * len(p) for _ in range(len(p))]
+            for u, nbrs in enumerate(g.adj):
+                for v, w in nbrs.items():
+                    block[p.assign[u]][p.assign[v]] += w
+            for a in range(len(p)):
+                assert [q.adj[a].get(b, 0) for b in range(len(p))] == block[a]
+                assert 0 not in q.adj[a].values()
 
 
 class TestConnectedComponents:

@@ -180,6 +180,34 @@ class TestMergeStable:
         assert not ok
         assert witness is not None
 
+    def test_witness_is_least_positive_pair(self):
+        """The witness is the lexicographically least block pair with
+        positive excess, and ``resolution`` the largest observed/expected
+        ratio, both against block sums taken straight from the edges."""
+        rng = random.Random(37)
+        several = 0
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            g = random_graph(rng, n)
+            p = random_partition(rng, n)
+            bd = [0] * len(p)
+            for v, d in enumerate(g.deg):
+                bd[p.assign[v]] += d
+            cross: dict[tuple[int, int], int] = {}
+            for u, v, w in g.edges():
+                a, b = sorted((p.assign[u], p.assign[v]))
+                if a != b:
+                    cross[a, b] = cross.get((a, b), 0) + w
+            ratios = [Fraction(g.z * w, bd[a] * bd[b]) for (a, b), w in cross.items()]
+            assert resolution(g, p) == max(ratios, default=0)
+            for t in (Fraction(1, 3), Fraction(1), Fraction(2)):
+                positive = sorted(pair for pair, w in cross.items()
+                                  if g.z * w > t * bd[pair[0]] * bd[pair[1]])
+                ok, witness = is_merge_stable(g, p, t)
+                assert (ok, witness) == (not positive, positive[0] if positive else None)
+                several += len(positive) > 1
+        assert several > 100
+
     def test_stable_at_own_resolution(self):
         rng = random.Random(17)
         for _ in range(40):
