@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .engine import detect_communities, format_trace_csv
 from .generators import complete_binary_tree, daisy_graph, tree_core_partition
@@ -23,7 +24,7 @@ from .graph import Graph, format_edge_list, load_edge_list, min_cut
 from .modularity import bounds_report
 from .measures import CommunityAggregates
 from .oracle import best_partition
-from .partition import format_partition, parse_partition
+from .partition import Partition, format_partition, parse_partition
 from .rational import positive_fraction, rounded
 
 Outputs = tuple[int, str, list[tuple[str, str]]]
@@ -68,24 +69,26 @@ def _cmd_detect(args) -> Outputs:
     return _outputs(0, *pieces)
 
 
-def _cmd_score(args) -> Outputs:
+def _read_scored(args) -> tuple[Graph, Partition, Fraction, list[str]]:
+    """``score``'s and ``verify``'s inputs, and ``t_exact`` under ``--exact-report``."""
     graph, labels = _read_graph(args.graph)
     part = parse_partition(_read_text(args.partition), labels)
     t = positive_fraction(args.t, "--t")
+    return graph, part, t, [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
+
+
+def _cmd_score(args) -> Outputs:
+    graph, part, t, lines = _read_scored(args)
     agg = CommunityAggregates.from_partition(graph, part)
     q = agg.score(t)
-    lines = [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
     lines += [f"q_t {rounded(q)}", f"q_bar_t {rounded((1 - t) - q)}",
               f"k {len(part)}", f"alpha {rounded(agg.alpha())}"]
     return _outputs(0, ("-", "\n".join(lines) + "\n"))
 
 
 def _cmd_verify(args) -> Outputs:
-    graph, labels = _read_graph(args.graph)
-    part = parse_partition(_read_text(args.partition), labels)
-    t = positive_fraction(args.t, "--t")
+    graph, part, t, lines = _read_scored(args)
     report = bounds_report(graph, part, t)
-    lines = [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
     lines += [report.render(), f"RESULT {'PASS' if report.all_pass else 'FAIL'}"]
     return _outputs(0 if report.all_pass else 1, ("-", "\n".join(lines) + "\n"))
 

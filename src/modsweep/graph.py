@@ -15,7 +15,6 @@ import heapq
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedError, FormatError, IsolatedVertexError
-from .measures import CommunityAggregates
 from .partition import Partition, _fields, refine_connected
 
 
@@ -24,23 +23,25 @@ class Graph:
 
     ``adj[u]`` maps each neighbour ``v`` (possibly ``u`` itself) to the
     integer weight ``m(u, v)``; treat instances as read-only.  ``Graph(adj)``
-    checks every entry's key type (an int), range, weight and symmetry;
-    ``from_edge_list`` checks each triple and writes both directions.  Both
-    compute degrees and ``z``, and reject an empty vertex set and any
-    isolated vertex.
+    checks that each row is a dict, then every entry's key type (an int),
+    range, weight and symmetry; ``from_edge_list`` checks each triple and
+    writes both directions.  Both reject an empty vertex set and any
+    isolated vertex.  ``quotient`` sums a checked graph and skips the check.
     """
 
     __slots__ = ("n", "adj", "deg", "z")
 
     def __init__(self, adj: list[dict[int, int]]):
-        n = len(adj)
+        for u, nbrs in enumerate(adj):
+            if not isinstance(nbrs, dict):
+                raise ValueError(f"row of vertex {u} is not a dict")
         for u, nbrs in enumerate(adj):
             if not nbrs:
                 raise IsolatedVertexError(f"vertex {u} has zero total degree")
             for v, w in nbrs.items():
                 if type(v) is not int:
                     raise ValueError(f"neighbour {v!r} of vertex {u} is not an int")
-                if not (0 <= v < n):
+                if not (0 <= v < len(adj)):
                     raise ValueError(f"neighbour {v} of vertex {u} out of range")
                 if type(w) is not int or w <= 0:
                     raise ValueError(f"weight m({u},{v})={w!r} is not a positive integer")
@@ -48,7 +49,7 @@ class Graph:
                     raise ValueError(f"asymmetric weights between {u} and {v}")
         self._build(adj)
 
-    def _build(self, adj: list[dict[int, int]]) -> None:
+    def _build(self, adj: list[dict[int, int]]) -> "Graph":
         """Set ``n``, ``adj``, ``deg`` and ``z``; reject an empty vertex set."""
         if not adj:
             raise ValueError("a graph needs at least one vertex")
@@ -56,6 +57,7 @@ class Graph:
         self.adj = adj
         self.deg = [sum(nbrs.values()) for nbrs in adj]
         self.z = sum(self.deg)
+        return self
 
     @classmethod
     def from_edge_list(cls, edges: Iterable[tuple[int, int, int]]) -> "Graph":
@@ -85,8 +87,7 @@ class Graph:
                 col[u] = col.get(u, 0) + w
         while adj and not adj[-1]:  # the largest vertex named has a nonempty row
             adj.pop()
-        graph = cls.__new__(cls)
-        graph._build(adj)
+        graph = cls.__new__(cls)._build(adj)
         if 0 in graph.deg:
             raise IsolatedVertexError(f"vertex {graph.deg.index(0)} has zero total degree")
         return graph
@@ -155,12 +156,21 @@ def format_edge_list(graph: Graph, labels: list[str] | None = None) -> str:
 def quotient(graph: Graph, partition: Partition) -> Graph:
     """Collapse each block to one vertex, summing weights.
 
-    The adjacency is ``CommunityAggregates.rows``: block ``C``'s diagonal
-    holds its internal ordered-pair weight and its entry for an adjacent
-    block the one-orientation crossing weight, so ``z`` and the block
-    degrees are preserved.
+    The one place block rows are summed: block ``C``'s diagonal holds its
+    internal ordered-pair weight and its entry for an adjacent block the
+    one-orientation crossing weight, so ``z`` and the block degrees are
+    preserved.  A checked graph gives checked rows, so none is re-checked.
     """
-    return Graph(CommunityAggregates.from_partition(graph, partition).rows)
+    assign = partition.assign
+    if len(assign) != graph.n:
+        raise ValueError("partition does not cover this graph's vertex set")
+    rows: list[dict[int, int]] = [{} for _ in range(partition.k)]
+    for u, nbrs in enumerate(graph.adj):
+        row = rows[assign[u]]
+        for v, w in nbrs.items():
+            c = assign[v]
+            row[c] = row.get(c, 0) + w
+    return Graph.__new__(Graph)._build(rows)
 
 
 def connected_components(graph: Graph) -> Partition:

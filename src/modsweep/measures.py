@@ -1,58 +1,43 @@
 """Edge-mass and null-model measures over community rectangles.
 
-For a partition, all scores reduce to the quotient graph's rows: ``rows[c]``
-maps block ``c`` and each block adjacent to it to an integer weight.  The
-diagonal ``rows[c][c]`` is the internal weight ``w(C)`` (ordered pairs
-inside ``C``, so twice the undirected internal edge weight plus stored loop
-weight); ``rows[c][c']`` is the one-orientation crossing weight
-``w(C, C')``, stored in both rows; a row sums to the block degree ``d(C)``.
-Zero entries are not stored.  All derived measures are exact ``Fraction``s.
+For a partition, all scores reduce to its ``quotient`` graph's rows:
+``rows[c]`` maps block ``c`` and each block adjacent to it to an integer
+weight.  The diagonal ``rows[c][c]`` is the internal weight ``w(C)``
+(ordered pairs inside ``C``, so twice the undirected internal edge weight
+plus stored loop weight); ``rows[c][c']`` is the one-orientation crossing
+weight ``w(C, C')``, stored in both rows; a row sums to the block degree
+``d(C)``.  Zero entries are not stored.  Measures are exact ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
+from .graph import Graph, quotient
+from .partition import Partition
 from .rational import positive_fraction
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .graph import Graph
-    from .partition import Partition
 
 
 class CommunityAggregates:
     """Integer aggregates of a graph under a fixed partition.
 
-    ``rows`` is the quotient graph's adjacency: each diagonal entry holds a
-    block's internal weight, each off-diagonal one a crossing weight.
-    ``block_degree`` holds the row sums and ``internal`` the diagonals.
-    ``from_partition`` is the one place block aggregates are summed; scores,
-    certificates, bounds and quotient graphs all read them from here.  The
+    Read from the partition's quotient graph: ``rows`` is its adjacency,
+    ``k`` its vertex count, ``block_degree`` its degrees and ``z`` its
+    total; only ``internal``, the diagonals, is computed here.  Scores,
+    certificates and bounds read block aggregates from here.  The
     brute-force oracles sum their own, so tests can compare against them.
     """
 
     __slots__ = ("z", "k", "rows", "block_degree", "internal")
 
-    def __init__(self, rows: list[dict[int, int]]):
-        self.rows = rows
-        self.k = len(rows)
-        self.block_degree = [sum(row.values()) for row in rows]
-        self.internal = [row.get(c, 0) for c, row in enumerate(rows)]
-        self.z = sum(self.block_degree)
+    def __init__(self, coarse: Graph):
+        self.rows, self.k, self.block_degree, self.z = coarse.adj, coarse.n, coarse.deg, coarse.z
+        self.internal = [row.get(c, 0) for c, row in enumerate(self.rows)]
 
     @classmethod
-    def from_partition(cls, graph: "Graph", partition: "Partition") -> "CommunityAggregates":
-        if len(partition.assign) != graph.n:
-            raise ValueError("partition does not cover this graph's vertex set")
-        assign = partition.assign
-        rows: list[dict[int, int]] = [{} for _ in range(len(partition))]
-        for u, nbrs in enumerate(graph.adj):
-            row = rows[assign[u]]
-            for v, w in nbrs.items():
-                c = assign[v]
-                row[c] = row.get(c, 0) + w
-        return cls(rows)
+    def from_partition(cls, graph: Graph, partition: Partition) -> "CommunityAggregates":
+        return cls(quotient(graph, partition))
 
     def _check(self, c: int) -> None:
         if not 0 <= c < self.k:

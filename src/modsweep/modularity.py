@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DisconnectedError
-from .graph import min_cut
+from .graph import min_cut, quotient
 from .measures import CommunityAggregates
+from .partition import singleton_partition
 from .rational import positive_fraction, rounded
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,18 +44,17 @@ def resolution(graph: "Graph", partition: "Partition") -> Fraction:
     return CommunityAggregates.from_partition(graph, partition).resolution()
 
 
-def is_merge_stable(graph: "Graph", partition: "Partition", t=1,
-                    aggregates: CommunityAggregates | None = None
+def is_merge_stable(graph: "Graph", partition: "Partition", t=1
                     ) -> tuple[bool, tuple[int, int] | None]:
     """Exact stability certificate at resolution t.
 
     Returns ``(True, None)`` when every distinct adjacent block pair has
     non-positive excess mass (equivalently: no coarsening scores higher),
-    otherwise ``(False, witness_pair)``.
+    otherwise ``(False, witness_pair)``; the quotient's singletons give the same.
     """
     tf = positive_fraction(t)
     tn, td = tf.numerator, tf.denominator
-    agg = aggregates or CommunityAggregates.from_partition(graph, partition)
+    agg = CommunityAggregates.from_partition(graph, partition)
     z = agg.z
     bd = agg.block_degree
     for a, b, w in agg.pairs():
@@ -142,10 +142,12 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
 
     The cut-dependent entries need a connected graph and a merge-stable
     partition with at least two blocks; when unavailable they are reported
-    as skipped rather than failing the report.
+    as skipped rather than failing the report.  The certificate runs on
+    the singletons of the quotient that the aggregates are read from.
     """
     tf = positive_fraction(t)
-    agg = CommunityAggregates.from_partition(graph, partition)
+    coarse = quotient(graph, partition)
+    agg = CommunityAggregates(coarse)
     z = agg.z
     k = agg.k
     checks: list[CheckRow] = []
@@ -194,7 +196,7 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
     else:
         checks.append(CheckRow("q_lower_offdiag", None, note="needs t <= 1"))
 
-    stable, witness = is_merge_stable(graph, partition, tf, aggregates=agg)
+    stable, witness = is_merge_stable(coarse, singleton_partition(coarse), tf)
     checks.append(CheckRow("merge_stable", stable,
                            note="" if stable else f"witness pair {witness}"))
 

@@ -373,9 +373,41 @@ def test_only_main_writes_stdout():
 
 
 def test_one_graph_builder():
-    """Graphs are built by ``Graph.from_edge_list``, which calls ``cls``;
-    only ``quotient`` hands ``Graph`` an adjacency of its own."""
-    assert _call_sites("Graph") == {"graph.py:quotient"}
+    """Graphs are built by ``Graph.from_edge_list``, which calls ``cls``, and
+    by ``quotient`` from a checked graph; no function hands ``Graph`` an
+    adjacency of its own."""
+    assert _call_sites("Graph") == set()
+
+
+# Each module imports at runtime only modules earlier in this list.
+LAYERS = ("errors", "rational", "partition", "graph", "measures", "modularity",
+          "engine", "generators", "oracle", "cli")
+
+
+def _runtime_imports(node: ast.AST):
+    """Yield each package module that ``node`` imports outside an
+    ``if TYPE_CHECKING:`` block."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            continue
+        dotted = []
+        if isinstance(child, ast.Import):
+            dotted = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            base = ".".join(filter(None, ("modsweep" if child.level else "", child.module)))
+            dotted = [f"{base}.{alias.name}" for alias in child.names]
+        yield from (name.split(".")[1] for name in dotted if name.startswith("modsweep."))
+        yield from _runtime_imports(child)
+
+
+def test_modules_import_only_lower_layers():
+    src = Path(__file__).resolve().parents[1] / "src" / "modsweep"
+    modules = sorted(p.stem for p in src.glob("*.py") if p.stem not in ("__init__", "__main__"))
+    assert modules == sorted(LAYERS)
+    upward = {name: sorted(set(_runtime_imports(ast.parse((src / f"{name}.py").read_text())))
+                           - set(LAYERS[:LAYERS.index(name)]))
+              for name in LAYERS}
+    assert upward == {name: [] for name in LAYERS}
 
 
 def _flags(parser: argparse.ArgumentParser) -> set[str]:

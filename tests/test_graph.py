@@ -3,6 +3,7 @@
 import io
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,10 @@ from modsweep import (
     Graph,
     IsolatedVertexError,
     Partition,
+    compose,
     connected_components,
     format_edge_list,
+    is_merge_stable,
     load_edge_list,
     min_cut,
     quotient,
@@ -127,6 +130,11 @@ class TestGraphInvariants:
             Graph([{True: 1}, {0: 1}])
         with pytest.raises(ValueError, match=r"^neighbour 1\.0 of vertex 0 is not an int$"):
             Graph([{1.0: 1}, {0: 1}])
+        # a row that is not a dict, also one that an earlier row points into
+        with pytest.raises(ValueError, match="^row of vertex 0 is not a dict$"):
+            Graph([[1], [0]])
+        with pytest.raises(ValueError, match="^row of vertex 1 is not a dict$"):
+            Graph([{1: 1}, 5])
 
     def test_non_int_weight_rejected(self):
         with pytest.raises(ValueError, match=r"m\(0,1\)=1\.5 is not a positive integer"):
@@ -295,6 +303,22 @@ class TestQuotient:
             for a in range(len(p)):
                 assert [q.adj[a].get(b, 0) for b in range(len(p))] == block[a]
                 assert 0 not in q.adj[a].values()
+
+    def test_certificate_and_contraction_read_the_quotient(self):
+        """A partition's certificate is its quotient's singleton one, witness
+        included, and quotients compose: the chain ``min_cut`` contracts
+        through gives the rows, in row order, of one contraction."""
+        rng = random.Random(19)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            g = random_graph(rng, n, p=rng.choice((0.1, 0.35)))
+            p = random_partition(rng, n)
+            q = quotient(g, p)
+            for t in (Fraction(1, 3), 1, 2):
+                assert is_merge_stable(g, p, t) == is_merge_stable(q, singleton_partition(q), t)
+            r = random_partition(rng, q.n)
+            twice, once = quotient(q, r), quotient(g, compose(p, r))
+            assert (twice.adj, twice.deg, twice.z) == (once.adj, once.deg, once.z)
 
 
 class TestConnectedComponents:
