@@ -24,9 +24,9 @@ from .partition import (
     refines,
     singleton_partition,
 )
-from .measures import CommunityAggregates
 from .modularity import (
     BoundsReport,
+    CommunityAggregates,
     bounds_report,
     is_merge_stable,
     merge_gain,

@@ -21,8 +21,7 @@ from fractions import Fraction
 from .engine import detect_communities, format_trace_csv
 from .generators import complete_binary_tree, daisy_graph, tree_core_partition
 from .graph import Graph, format_edge_list, load_edge_list, min_cut
-from .modularity import bounds_report
-from .measures import CommunityAggregates
+from .modularity import CommunityAggregates, bounds_report
 from .oracle import best_partition
 from .partition import Partition, format_partition, parse_partition
 from .rational import positive_fraction, rounded

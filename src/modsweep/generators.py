@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, connected_components
-from .measures import CommunityAggregates
+from .modularity import CommunityAggregates
 from .partition import Partition, refine_connected
 from .rational import positive_fraction
 

@@ -1,31 +1,130 @@
 """Resolution-parametrized modularity, stability certificates, and bounds.
 
+For a partition, every score reads its ``quotient`` graph's rows, held by
+``CommunityAggregates``: ``rows[c]`` maps block ``c`` and each block
+adjacent to it to an integer weight.  The diagonal ``rows[c][c]`` is the
+internal weight ``w(C)`` (ordered pairs inside ``C``, so twice the
+undirected internal edge weight plus stored loop weight); ``rows[c][c']``
+is the one-orientation crossing weight ``w(C, C')``, stored in both rows; a
+row sums to the block degree ``d(C)``.  Zero entries are not stored.
+
 ``modularity(g, p, t)`` sums ``w(C)/z - t*(d(C)/z)**2`` over blocks; at
 ``t == 1`` this is the classic Newman score.  A partition is merge-stable at
 resolution ``t`` when no distinct pair of blocks has positive excess mass,
 which is exactly the condition that no coarsening of the partition scores
 higher.  ``bounds_report`` evaluates every general inequality the score
 satisfies, exactly, and is the backend of the ``verify`` CLI command.
+Every quantity is an exact ``Fraction`` or integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import Iterator
 
 from .errors import DisconnectedError
-from .graph import min_cut, quotient
-from .measures import CommunityAggregates
-from .partition import singleton_partition
+from .graph import Graph, min_cut, quotient
+from .partition import Partition
 from .rational import positive_fraction, rounded
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .graph import Graph
-    from .partition import Partition
+
+class CommunityAggregates:
+    """Integer aggregates of a graph under a fixed partition.
+
+    Read from the partition's quotient graph: ``rows`` is its adjacency,
+    ``k`` its vertex count, ``block_degree`` its degrees and ``z`` its
+    total; only ``internal``, the diagonals, is computed here.  Every
+    score, certificate and bound below reads one of these.  The
+    brute-force oracles sum their own, so tests can compare against them.
+    """
+
+    __slots__ = ("z", "k", "rows", "block_degree", "internal")
+
+    def __init__(self, coarse: Graph):
+        self.rows, self.k, self.block_degree, self.z = coarse.adj, coarse.n, coarse.deg, coarse.z
+        self.internal = [row.get(c, 0) for c, row in enumerate(self.rows)]
+
+    @classmethod
+    def from_partition(cls, graph: Graph, partition: Partition) -> "CommunityAggregates":
+        return cls(quotient(graph, partition))
+
+    def _check(self, c: int) -> None:
+        if not 0 <= c < self.k:
+            raise ValueError(f"unknown community id {c}")
+
+    def cross_weight(self, a: int, b: int) -> int:
+        """Integer one-orientation crossing weight between two blocks."""
+        self._check(a)
+        self._check(b)
+        return self.rows[a].get(b, 0)
+
+    def edge_fraction(self, a: int, b: int) -> Fraction:
+        """Fraction of the total edge mass in the rectangle a x b."""
+        return Fraction(self.cross_weight(a, b), self.z)
+
+    def expected_fraction(self, a: int, b: int) -> Fraction:
+        """Null-model mass of the rectangle a x b: d(a)*d(b)/z**2."""
+        self._check(a)
+        self._check(b)
+        return Fraction(self.block_degree[a] * self.block_degree[b], self.z * self.z)
+
+    def excess(self, a: int, b: int, t) -> Fraction:
+        """Observed minus t times expected mass; signed and exact."""
+        tf = positive_fraction(t)
+        return self.edge_fraction(a, b) - tf * self.expected_fraction(a, b)
+
+    def boundary_fraction(self, c: int) -> Fraction:
+        """Edge mass leaving block c: (d(C) - w(C)) / z."""
+        self._check(c)
+        return Fraction(self.block_degree[c] - self.internal[c], self.z)
+
+    def degree_fraction(self, c: int) -> Fraction:
+        self._check(c)
+        return Fraction(self.block_degree[c], self.z)
+
+    def alpha(self) -> Fraction:
+        """Null-model mass on the diagonal: sum(d(C)**2) / z**2."""
+        return Fraction(sum(d * d for d in self.block_degree), self.z * self.z)
+
+    def score(self, t=1) -> Fraction:
+        """Exact score at resolution t: sum(w(C))/z - t * sum(d(C)**2)/z**2."""
+        return Fraction(sum(self.internal), self.z) - positive_fraction(t) * self.alpha()
+
+    def pairs(self) -> Iterator[tuple[int, int, int]]:
+        """Adjacent block pairs as (a, b, crossing weight), a < b, sorted."""
+        for a, row in enumerate(self.rows):
+            for b in sorted(row):
+                if b > a:
+                    yield a, b, row[b]
+
+    def resolution(self) -> Fraction:
+        """Largest ratio observed/expected over distinct adjacent pairs.
+
+        Returns 0 when no distinct pair carries edge mass, i.e. when the
+        partition refines the connected components.
+        """
+        z = self.z
+        bd = self.block_degree
+        best_num, best_den = 0, 1
+        for a, b, w in self.pairs():
+            num = z * w
+            den = bd[a] * bd[b]
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+        return Fraction(best_num, best_den)
+
+    def _unstable_pair(self, t) -> tuple[int, int] | None:
+        """The least adjacent pair with positive excess at t, else None."""
+        tf = positive_fraction(t)
+        tn, td, z, bd = tf.numerator, tf.denominator, self.z, self.block_degree
+        for a, b, w in self.pairs():
+            if z * w * td > tn * bd[a] * bd[b]:
+                return a, b
+        return None
 
 
-def modularity(graph: "Graph", partition: "Partition", t=1) -> Fraction:
+def modularity(graph: Graph, partition: Partition, t=1) -> Fraction:
     """Exact score of a partition at resolution t, always a Fraction.
 
     A float ``t`` is read as its decimal, so 0.7 means 7/10.
@@ -33,34 +132,27 @@ def modularity(graph: "Graph", partition: "Partition", t=1) -> Fraction:
     return CommunityAggregates.from_partition(graph, partition).score(t)
 
 
-def modularity_complement(graph: "Graph", partition: "Partition", t=1) -> Fraction:
+def modularity_complement(graph: Graph, partition: Partition, t=1) -> Fraction:
     """Off-diagonal counterpart; always equals (1 - t) - modularity."""
     tf = positive_fraction(t)
     return (1 - tf) - modularity(graph, partition, tf)
 
 
-def resolution(graph: "Graph", partition: "Partition") -> Fraction:
+def resolution(graph: Graph, partition: Partition) -> Fraction:
     """Smallest t at which the partition is merge-stable; 0 if no pair touches."""
     return CommunityAggregates.from_partition(graph, partition).resolution()
 
 
-def is_merge_stable(graph: "Graph", partition: "Partition", t=1
+def is_merge_stable(graph: Graph, partition: Partition, t=1
                     ) -> tuple[bool, tuple[int, int] | None]:
     """Exact stability certificate at resolution t.
 
     Returns ``(True, None)`` when every distinct adjacent block pair has
     non-positive excess mass (equivalently: no coarsening scores higher),
-    otherwise ``(False, witness_pair)``; the quotient's singletons give the same.
+    otherwise ``(False, witness_pair)``, the least such pair.
     """
-    tf = positive_fraction(t)
-    tn, td = tf.numerator, tf.denominator
-    agg = CommunityAggregates.from_partition(graph, partition)
-    z = agg.z
-    bd = agg.block_degree
-    for a, b, w in agg.pairs():
-        if z * w * td > tn * bd[a] * bd[b]:
-            return False, (a, b)
-    return True, None
+    pair = CommunityAggregates.from_partition(graph, partition)._unstable_pair(t)
+    return pair is None, pair
 
 
 def merge_gain(aggregates: CommunityAggregates, a: int, b: int, t) -> Fraction:
@@ -137,17 +229,16 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
+def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     """Evaluate every applicable bound of the score at resolution t.
 
     The cut-dependent entries need a connected graph and a merge-stable
     partition with at least two blocks; when unavailable they are reported
-    as skipped rather than failing the report.  The certificate runs on
-    the singletons of the quotient that the aggregates are read from.
+    as skipped rather than failing the report.  One ``CommunityAggregates``
+    gives every row, the stability certificate included.
     """
     tf = positive_fraction(t)
-    coarse = quotient(graph, partition)
-    agg = CommunityAggregates(coarse)
+    agg = CommunityAggregates.from_partition(graph, partition)
     z = agg.z
     k = agg.k
     checks: list[CheckRow] = []
@@ -196,7 +287,8 @@ def bounds_report(graph: "Graph", partition: "Partition", t=1) -> BoundsReport:
     else:
         checks.append(CheckRow("q_lower_offdiag", None, note="needs t <= 1"))
 
-    stable, witness = is_merge_stable(coarse, singleton_partition(coarse), tf)
+    witness = agg._unstable_pair(tf)
+    stable = witness is None
     checks.append(CheckRow("merge_stable", stable,
                            note="" if stable else f"witness pair {witness}"))
 

@@ -23,8 +23,13 @@ BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 
 
 def set_partitions(n: int) -> Iterator[list[int]]:
-    """Yield every assignment of n items to blocks, restricted-growth order."""
+    """Yield every assignment of n items to blocks, restricted-growth order.
+
+    The empty set has one partition, so ``n == 0`` yields one empty list.
+    """
     if n <= 0:
+        if n == 0:
+            yield []
         return
     a = [0] * n
     b = [1] * n

@@ -9,17 +9,21 @@ import pytest
 
 import modsweep.graph
 from modsweep import (
+    CommunityAggregates,
     DisconnectedError,
     FormatError,
     Graph,
     IsolatedVertexError,
     Partition,
+    bounds_report,
+    complete_binary_tree,
     compose,
     connected_components,
     format_edge_list,
     is_merge_stable,
     load_edge_list,
     min_cut,
+    modularity,
     quotient,
     singleton_partition,
 )
@@ -319,6 +323,17 @@ class TestQuotient:
             r = random_partition(rng, q.n)
             twice, once = quotient(q, r), quotient(g, compose(p, r))
             assert (twice.adj, twice.deg, twice.z) == (once.adj, once.deg, once.z)
+
+
+    @pytest.mark.parametrize("assign", ([0] * 15 + [1] * 5, [0] * 7 + [1] * 7))
+    def test_partition_must_cover_the_vertex_set(self, assign):
+        """A partition of more or fewer vertices than the graph has is
+        refused by every reader of the quotient, not scored."""
+        g, p = complete_binary_tree(3), Partition(assign)
+        for read in (quotient, modularity, is_merge_stable, bounds_report,
+                     CommunityAggregates.from_partition):
+            with pytest.raises(ValueError, match="does not cover"):
+                read(g, p)
 
 
 class TestConnectedComponents:

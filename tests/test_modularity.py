@@ -343,6 +343,24 @@ class TestBoundsReport:
         assert names["block_count_bound"].passed is None
         assert rep.all_pass  # skipped rows do not fail the report
 
+    def test_certificate_matches_is_merge_stable(self):
+        """The report's verdict, witness and ``merge_stable`` row are those
+        of ``is_merge_stable`` on the same input."""
+        rng = random.Random(43)
+        unstable = 0
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 12))
+            p = random_partition(rng, g.n)
+            for t in (Fraction(1, 3), 1, 2):
+                stable, witness = is_merge_stable(g, p, t)
+                rep = bounds_report(g, p, t)
+                row = next(row for row in rep.checks if row.name == "merge_stable")
+                assert (rep.stable, rep.witness) == (stable, witness)
+                assert row.passed == stable
+                assert row.note == ("" if stable else f"witness pair {witness}")
+                unstable += not stable
+        assert 0 < unstable < 600
+
     def test_render_contains_verdict_rows(self, barbell):
         text = bounds_report(barbell, Partition([0, 0, 0, 1, 1, 1]), 1).render()
         assert "merge_stable PASS" in text
