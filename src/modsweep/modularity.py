@@ -232,110 +232,84 @@ class BoundsReport:
 def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     """Evaluate every applicable bound of the score at resolution t.
 
-    The cut-dependent entries need a connected graph and a merge-stable
-    partition with at least two blocks; when unavailable they are reported
-    as skipped rather than failing the report.  One ``CommunityAggregates``
-    gives every row, the stability certificate included.
+    A row whose hypothesis fails is skipped, noting why, rather than failing
+    the report: two rows need t <= 1, the stability floor a merge-stable
+    partition, and the three cut-dependent rows a merge-stable partition
+    with at least two blocks, the last two also a connected graph.  One
+    ``CommunityAggregates`` gives every row, the certificate included.
     """
     tf = positive_fraction(t)
     agg = CommunityAggregates.from_partition(graph, partition)
-    z = agg.z
-    k = agg.k
+    z, k = agg.z, agg.k
     checks: list[CheckRow] = []
 
+    def row(name, passed=None, lhs=None, rhs=None, note="", skip=""):
+        """Append one row, or a skipped row noting ``skip`` when it is given."""
+        if skip:
+            passed, lhs, rhs, note = None, None, None, skip
+        checks.append(CheckRow(name, passed, lhs, rhs, note))
+
+    def family(name, what, items, ok, skip=""):
+        """One row for an inequality family, failing at the first item not ``ok``."""
+        bad = None if skip else next((x for x in items if not ok(x)), None)
+        row(name, bad is None, note="" if bad is None else f"failed at {what} {bad}", skip=skip)
+
+    # block probabilities: degree and edge fractions, boundary and excess
+    m_v = [Fraction(d, z) for d in agg.block_degree]
+    m_e = [Fraction(w, z) for w in agg.internal]
+    rho = [v - e for v, e in zip(m_v, m_e)]
+    mu = [e - tf * v * v for v, e in zip(m_v, m_e)]
     diag_total = Fraction(sum(agg.internal), z)
     q = agg.score(tf)
+    t_skip = "" if tf <= 1 else "needs t <= 1"
 
-    # per-community rows, aggregated per inequality family
-    def per_community(name, fn):
-        bad = None
-        for c in range(k):
-            if not fn(c):
-                bad = c
-                break
-        checks.append(CheckRow(name, bad is None,
-                               note="" if bad is None else f"failed at community {bad}"))
-
-    m_v = [agg.degree_fraction(c) for c in range(k)]
-    m_e = [agg.edge_fraction(c, c) for c in range(k)]
-    rho = [agg.boundary_fraction(c) for c in range(k)]
-    mu = [agg.excess(c, c, tf) for c in range(k)]
-
-    per_community("degree_split_identity",
-                  lambda c: m_v[c] == m_e[c] + rho[c] and m_e[c] + 2 * rho[c] <= 1)
-    per_community("diag_excess_identity",
-                  lambda c: mu[c] == m_e[c] * (1 - tf * (m_e[c] + 2 * rho[c])) - tf * rho[c] ** 2)
-    per_community("diag_upper_degree",
-                  lambda c: mu[c] <= m_e[c] * (1 - tf * m_v[c]))
-    per_community("diag_upper_boundary",
-                  lambda c: mu[c] <= m_e[c] * (1 - 2 * tf * rho[c]))
-    if tf <= 1:
-        per_community("diag_lower_boundary_sq",
-                      lambda c: mu[c] >= -tf * rho[c] ** 2)
-    else:
-        checks.append(CheckRow("diag_lower_boundary_sq", None, note="needs t <= 1"))
+    family("degree_split_identity", "community", range(k),
+           lambda c: m_v[c] == m_e[c] + rho[c] and m_e[c] + 2 * rho[c] <= 1)
+    family("diag_excess_identity", "community", range(k),
+           lambda c: mu[c] == m_e[c] * (1 - tf * (m_e[c] + 2 * rho[c])) - tf * rho[c] ** 2)
+    family("diag_upper_degree", "community", range(k),
+           lambda c: mu[c] <= m_e[c] * (1 - tf * m_v[c]))
+    family("diag_upper_boundary", "community", range(k),
+           lambda c: mu[c] <= m_e[c] * (1 - 2 * tf * rho[c]))
+    family("diag_lower_boundary_sq", "community", range(k),
+           lambda c: mu[c] >= -tf * rho[c] ** 2, t_skip)
 
     upper_sum_sq = 1 - tf * agg.alpha()
     upper_fixed_k = 1 - tf / k
-    checks.append(CheckRow("q_upper_sum_sq", q <= upper_sum_sq, q, upper_sum_sq))
-    checks.append(CheckRow("q_upper_fixed_k", q <= upper_fixed_k, q, upper_fixed_k))
     upper_boundary = diag_total * (1 - 2 * tf * min(rho))
-    checks.append(CheckRow("q_upper_boundary_factor", q <= upper_boundary, q, upper_boundary))
-    if tf <= 1:
-        lo = (-tf / 2) * (1 - diag_total)
-        checks.append(CheckRow("q_lower_offdiag", q >= lo, q, lo))
-    else:
-        checks.append(CheckRow("q_lower_offdiag", None, note="needs t <= 1"))
+    lower_offdiag = (-tf / 2) * (1 - diag_total)
+    row("q_upper_sum_sq", q <= upper_sum_sq, q, upper_sum_sq)
+    row("q_upper_fixed_k", q <= upper_fixed_k, q, upper_fixed_k)
+    row("q_upper_boundary_factor", q <= upper_boundary, q, upper_boundary)
+    row("q_lower_offdiag", q >= lower_offdiag, q, lower_offdiag, skip=t_skip)
 
     witness = agg._unstable_pair(tf)
     stable = witness is None
-    checks.append(CheckRow("merge_stable", stable,
-                           note="" if stable else f"witness pair {witness}"))
+    row("merge_stable", stable, note="" if stable else f"witness pair {witness}")
+    row("q_stability_floor", q >= 1 - tf, q, 1 - tf,
+        skip="" if stable else "needs a merge-stable partition")
 
-    floor = 1 - tf
-    if stable:
-        checks.append(CheckRow("q_stability_floor", q >= floor, q, floor))
-    else:
-        checks.append(CheckRow("q_stability_floor", None, note="needs a merge-stable partition"))
-
+    cut_skip = "" if stable and k >= 2 else "needs a merge-stable partition with >= 2 blocks"
+    family("pair_union_degree_bound", "pair", ((a, b) for a, b, _ in agg.pairs()),
+           lambda p: (m_v[p[0]] + m_v[p[1]]) ** 2 >= 4 * Fraction(agg.rows[p[0]][p[1]], z) / tf,
+           cut_skip)
     scaling: list[ScalingCheck] = []
-    mc: int | None = None
-    max_blocks: Fraction | None = None
-    if stable and k >= 2:
-        bad_pair = None
-        for a, b, w in agg.pairs():
-            lhs = (m_v[a] + m_v[b]) ** 2
-            if lhs < 4 * Fraction(w, z) / tf:
-                bad_pair = (a, b)
-                break
-        checks.append(CheckRow("pair_union_degree_bound", bad_pair is None,
-                               note="" if bad_pair is None else f"failed at pair {bad_pair}"))
+    mc = max_blocks = count_ok = None
+    if not cut_skip:
         try:
             mc = min_cut(graph)
         except DisconnectedError:
-            checks.append(CheckRow("cut_window", None, note="graph is not connected"))
-            checks.append(CheckRow("block_count_bound", None, note="graph is not connected"))
-        else:
-            ratio = Fraction(mc, tf * z)
-            ok_sq = True
-            for c in range(k):
-                lo, hi = ratio, 1 - ratio
-                good = lo < m_v[c] < hi and (m_v[c] - Fraction(1, 2)) ** 2 <= Fraction(1, 4) - ratio
-                ok_sq = ok_sq and good
-                scaling.append(ScalingCheck(c, m_v[c], lo, hi, good))
-            checks.append(CheckRow("cut_window", ok_sq))
-            max_blocks = tf * z / mc
-            count_ok = (k < max_blocks and
-                        (Fraction(1, k) - Fraction(1, 2)) ** 2 <= Fraction(1, 4) - ratio)
-            checks.append(CheckRow("block_count_bound", count_ok, k, max_blocks))
-    else:
-        note = "needs a merge-stable partition with >= 2 blocks"
-        checks.append(CheckRow("pair_union_degree_bound", None, note=note))
-        checks.append(CheckRow("cut_window", None, note=note))
-        checks.append(CheckRow("block_count_bound", None, note=note))
+            cut_skip = "graph is not connected"
+    if not cut_skip:
+        ratio = Fraction(mc, tf * z)
+        cap = Fraction(1, 4) - ratio
+        scaling = [ScalingCheck(c, v, ratio, 1 - ratio,
+                                ratio < v < 1 - ratio and (v - Fraction(1, 2)) ** 2 <= cap)
+                   for c, v in enumerate(m_v)]
+        max_blocks = tf * z / mc
+        count_ok = k < max_blocks and (Fraction(1, k) - Fraction(1, 2)) ** 2 <= cap
+    row("cut_window", all(sc.passed for sc in scaling), skip=cut_skip)
+    row("block_count_bound", count_ok, k, max_blocks, skip=cut_skip)
 
-    return BoundsReport(
-        t=tf, k=k, q_t=q, stable=stable, witness=witness,
-        min_cut_value=mc, max_blocks=max_blocks,
-        scaling=scaling, checks=checks,
-    )
+    return BoundsReport(t=tf, k=k, q_t=q, stable=stable, witness=witness, min_cut_value=mc,
+                        max_blocks=max_blocks, scaling=scaling, checks=checks)

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import modsweep
-from modsweep import load_edge_list, modularity, parse_partition
+from modsweep import (Partition, detect_communities, format_partition, load_edge_list,
+                      modularity, parse_partition, singleton_partition)
 from modsweep.cli import build_parser, main
 from modsweep.rational import rounded
 
@@ -343,6 +344,33 @@ def test_printed_bytes_are_pinned(capsys, tmp_path):
         assert digest(out) == expected, argv
 
 
+def test_verify_bytes_are_pinned_on_every_skip_branch(capsys, tmp_path, karate):
+    """sha256 of ``verify``'s report, and its exit code, on each branch that
+    skips rows: karate's detected partition at t = 2 (the two rows that need
+    t <= 1), its singletons (a witness pair, exit 1), karate as one block
+    (k = 1), and two disjoint triangles as two blocks (not connected)."""
+    g, labels = karate
+    karate_path = str(files("modsweep").joinpath("data/karate.edges"))
+    triangles = tmp_path / "triangles.edges"
+    triangles.write_text("a b\nb c\na c\nd e\ne f\nd f\n")
+    cases = (
+        ("detected at t = 2", karate_path,
+         format_partition(detect_communities(g, 1)[0], labels), "2", 0,
+         "c4796fdbc3584f644c871162c04107107f9dd85bc2c138702b7a18c4025483ef"),
+        ("singletons", karate_path, format_partition(singleton_partition(g), labels), "1", 1,
+         "4092e16393434561e05e7a28d4349d25a6e3f5f7c29a66df27d28cdf3272071c"),
+        ("one block", karate_path, format_partition(Partition([0] * g.n), labels), "1", 0,
+         "4fbab414d81d8a47f4c57c0d4ef44343cabc8deb710bcd71f9c3d97ed8322211"),
+        ("two triangles", str(triangles), "a 0\nb 0\nc 0\nd 1\ne 1\nf 1\n", "1", 0,
+         "8c82afd1d639a791f6da6c6a95aa8744d86673984d478bb541b1fcc089eaeee8"),
+    )
+    part = tmp_path / "case.parts"
+    for name, graph, text, t, expected_code, expected in cases:
+        part.write_text(text)
+        code, out, _ = run_cli(capsys, "verify", graph, str(part), "--t", t)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected_code, expected), name
+
+
 def _calls(node: ast.AST, name: str, scope: tuple[str, ...] = ()):
     """Yield the dotted name of the definition around each call of the
     function spelled ``name``, such as ``float`` or ``sys.stdout.write``."""
@@ -383,6 +411,12 @@ def test_one_aggregate_builder():
     """Block aggregates are built only by ``CommunityAggregates.from_partition``,
     which calls ``cls``; no function hands the class a quotient of its own."""
     assert _call_sites("CommunityAggregates") == set()
+
+
+def test_one_check_row_builder():
+    """``bounds_report`` writes every row, skipped or not, through its one
+    local helper, so each skip reason is decided in one place."""
+    assert _call_sites("CheckRow") == {"modularity.py:bounds_report.row"}
 
 
 # Each module imports at runtime only modules earlier in this list.

@@ -70,6 +70,18 @@ class TestResolution:
                     break
                 eng.merge_step()
 
+    @pytest.mark.parametrize("call", ["resolution", "merge_step", "resolution_sweep",
+                                      "record_trace"])
+    def test_pair_above_the_last_resolution_is_illegal(self, karate, call):
+        """The resolution never rises; a live pair whose ratio exceeds the
+        one last read means corrupted bookkeeping, and every call that reads
+        the resolution raises rather than sweeping on."""
+        eng = SweepEngine(karate[0])
+        eng.resolution()
+        eng._t_num, eng._t_den = 1, 10**6
+        with pytest.raises(IllegalStateError, match="exceeded the current resolution"):
+            getattr(eng, call)()
+
 
 class TestMergeStep:
     def test_score_conserved_exactly(self, triangle):
@@ -488,6 +500,35 @@ class TestQuotientRestart:
                 tail_a.append((rec.t_exact, rec.k))
             composed = compose(mid, eng2.partition())
             assert composed == full
+
+    def test_resume_from_every_trace_partition(self, karate):
+        """The sweep depends only on its partition: a fresh engine on the
+        quotient of the partition at trace record i reproduces records i to
+        the end, and composing its result gives the full run's partition."""
+        t_min = Fraction(1, 10**6)
+
+        def sweep(eng):
+            """The trace fields of a run down to t_min, and its partitions."""
+            rec = eng.record_trace()
+            parts = [eng.partition()]
+            while rec.t_exact >= t_min:
+                rec = eng.resolution_sweep()
+                parts.append(eng.partition())
+            return [(r.t_exact, r.k, r.q_t, r.q_1, r.alpha) for r in eng.trace], parts
+
+        rng = random.Random(53)
+        graphs = [karate[0], complete_binary_tree(6), complete_binary_tree(8)]
+        graphs += [random_graph(rng, rng.randint(2, 30), max_w=rng.choice([1, 9, 2**40]))
+                   for _ in range(100)]
+        resumes = 0
+        for g in graphs:
+            full, parts = sweep(SweepEngine(g))
+            for i, part in enumerate(parts):
+                tail, tail_parts = sweep(SweepEngine(quotient(g, part)))
+                assert tail == full[i:]
+                assert compose(part, tail_parts[-1]) == parts[-1]
+            resumes += len(parts)
+        assert resumes > 1000
 
     def test_quotient_scores_agree(self):
         rng = random.Random(47)
