@@ -14,15 +14,15 @@ from .graph import (
     load_edge_list,
     min_cut,
     quotient,
+    refine_connected,
+    singleton_partition,
 )
 from .partition import (
     Partition,
     compose,
     format_partition,
     parse_partition,
-    refine_connected,
     refines,
-    singleton_partition,
 )
 from .modularity import (
     BoundsReport,

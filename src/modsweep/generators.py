@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, refine_connected
 from .modularity import CommunityAggregates
-from .partition import Partition, refine_connected
+from .partition import Partition
 from .rational import positive_fraction
 
 
@@ -160,6 +160,6 @@ def tree_modularity_identity(graph: Graph, partition: Partition) -> tuple[Fracti
     agg = CommunityAggregates.from_partition(graph, partition)
     k, z = agg.k, agg.z
     direct = agg.score(1)
-    spread = sum((Fraction(d, z) - Fraction(1, k)) ** 2 for d in agg.block_degree)
+    spread = sum((agg.degree_fraction(c) - Fraction(1, k)) ** 2 for c in range(k))
     via_counts = 1 - Fraction(2 * (k - 1), z) - Fraction(1, k) - spread
     return direct, via_counts

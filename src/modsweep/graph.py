@@ -1,4 +1,4 @@
-"""Symmetric integer-weighted graphs.
+"""Symmetric integer-weighted graphs, their quotients, components and cuts.
 
 Weights are kept as a symmetric map ``m(u, v)`` over ordered vertex pairs.
 The total weight ``z`` sums over ordered pairs, so each undirected edge is
@@ -15,7 +15,7 @@ import heapq
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedError, FormatError, IsolatedVertexError
-from .partition import Partition, _fields, refine_connected
+from .partition import Partition, _fields
 
 
 class Graph:
@@ -171,6 +171,38 @@ def quotient(graph: Graph, partition: Partition) -> Graph:
             c = assign[v]
             row[c] = row.get(c, 0) + w
     return Graph.__new__(Graph)._build(rows)
+
+
+def singleton_partition(graph: Graph) -> Partition:
+    """One block per vertex."""
+    return Partition(range(graph.n))
+
+
+def refine_connected(graph: Graph, partition: Partition) -> Partition:
+    """Split every block into the connected components of its induced subgraph.
+
+    The result refines the input, is internally connected, and never lowers
+    the modularity score at any resolution.
+    """
+    assign = partition.assign
+    if len(assign) != graph.n:
+        raise ValueError("partition does not cover this graph's vertex set")
+    label = [-1] * graph.n
+    nxt = 0
+    for v0 in range(graph.n):
+        if label[v0] >= 0:
+            continue
+        c = assign[v0]
+        label[v0] = nxt
+        stack = [v0]
+        while stack:
+            u = stack.pop()
+            for v in graph.adj[u]:
+                if label[v] < 0 and assign[v] == c:
+                    label[v] = nxt
+                    stack.append(v)
+        nxt += 1
+    return Partition(label)
 
 
 def connected_components(graph: Graph) -> Partition:

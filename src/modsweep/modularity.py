@@ -235,8 +235,8 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     A row whose hypothesis fails is skipped, noting why, rather than failing
     the report: two rows need t <= 1, the stability floor a merge-stable
     partition, and the three cut-dependent rows a merge-stable partition
-    with at least two blocks, the last two also a connected graph.  One
-    ``CommunityAggregates`` gives every row, the certificate included.
+    with at least two blocks, the last two also a connected graph.  Every
+    row, the certificate too, reads one ``CommunityAggregates``' accessors.
     """
     tf = positive_fraction(t)
     agg = CommunityAggregates.from_partition(graph, partition)
@@ -255,11 +255,11 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
         row(name, bad is None, note="" if bad is None else f"failed at {what} {bad}", skip=skip)
 
     # block probabilities: degree and edge fractions, boundary and excess
-    m_v = [Fraction(d, z) for d in agg.block_degree]
-    m_e = [Fraction(w, z) for w in agg.internal]
-    rho = [v - e for v, e in zip(m_v, m_e)]
-    mu = [e - tf * v * v for v, e in zip(m_v, m_e)]
-    diag_total = Fraction(sum(agg.internal), z)
+    m_v = [agg.degree_fraction(c) for c in range(k)]
+    m_e = [agg.edge_fraction(c, c) for c in range(k)]
+    rho = [agg.boundary_fraction(c) for c in range(k)]
+    mu = [agg.excess(c, c, tf) for c in range(k)]
+    diag_total = sum(m_e)
     q = agg.score(tf)
     t_skip = "" if tf <= 1 else "needs t <= 1"
 
@@ -291,7 +291,7 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
 
     cut_skip = "" if stable and k >= 2 else "needs a merge-stable partition with >= 2 blocks"
     family("pair_union_degree_bound", "pair", ((a, b) for a, b, _ in agg.pairs()),
-           lambda p: (m_v[p[0]] + m_v[p[1]]) ** 2 >= 4 * Fraction(agg.rows[p[0]][p[1]], z) / tf,
+           lambda p: (m_v[p[0]] + m_v[p[1]]) ** 2 >= 4 * agg.edge_fraction(*p) / tf,
            cut_skip)
     scaling: list[ScalingCheck] = []
     mc = max_blocks = count_ok = None

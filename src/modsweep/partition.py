@@ -7,12 +7,9 @@ output is reproducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import FormatError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .graph import Graph
 
 
 class Partition:
@@ -41,11 +38,6 @@ class Partition:
         return f"Partition({len(self.assign)} vertices, {self.k} blocks)"
 
 
-def singleton_partition(graph: "Graph") -> Partition:
-    """One block per vertex."""
-    return Partition(range(graph.n))
-
-
 def refines(p: Partition, q: Partition) -> bool:
     """True iff every block of ``q`` is contained in a block of ``p``."""
     if len(p.assign) != len(q.assign):
@@ -55,33 +47,6 @@ def refines(p: Partition, q: Partition) -> bool:
         if rep.setdefault(qb, pb) != pb:
             return False
     return True
-
-
-def refine_connected(graph: "Graph", partition: Partition) -> Partition:
-    """Split every block into the connected components of its induced subgraph.
-
-    The result refines the input, is internally connected, and never lowers
-    the modularity score at any resolution.
-    """
-    assign = partition.assign
-    if len(assign) != graph.n:
-        raise ValueError("partition does not cover this graph's vertex set")
-    label = [-1] * graph.n
-    nxt = 0
-    for v0 in range(graph.n):
-        if label[v0] >= 0:
-            continue
-        c = assign[v0]
-        label[v0] = nxt
-        stack = [v0]
-        while stack:
-            u = stack.pop()
-            for v in graph.adj[u]:
-                if label[v] < 0 and assign[v] == c:
-                    label[v] = nxt
-                    stack.append(v)
-        nxt += 1
-    return Partition(label)
 
 
 def compose(partition: Partition, block_partition: Partition) -> Partition:

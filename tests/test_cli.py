@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -419,17 +420,26 @@ def test_one_check_row_builder():
     assert _call_sites("CheckRow") == {"modularity.py:bounds_report.row"}
 
 
-# Each module imports at runtime only modules earlier in this list.
+def test_one_formula_per_block_probability():
+    """``bounds_report`` takes m_v, m_e, rho, mu and the pair edge fractions
+    from the ``CommunityAggregates`` accessors, never from the block integers,
+    so ``verify`` certifies the numbers the library returns."""
+    src = Path(__file__).resolve().parents[1] / "src" / "modsweep" / "modularity.py"
+    func = next(node for node in ast.walk(ast.parse(src.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "bounds_report")
+    read = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+    assert read & {"block_degree", "internal", "rows"} == set()
+
+
+# Each module imports only modules earlier in this list.
 LAYERS = ("errors", "rational", "partition", "graph", "modularity", "engine",
           "generators", "oracle", "cli")
 
 
-def _runtime_imports(node: ast.AST):
-    """Yield each package module that ``node`` imports outside an
-    ``if TYPE_CHECKING:`` block."""
+def _imports(node: ast.AST):
+    """Yield each package module that ``node`` imports, type-only imports
+    included."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
-            continue
         dotted = []
         if isinstance(child, ast.Import):
             dotted = [alias.name for alias in child.names]
@@ -437,17 +447,25 @@ def _runtime_imports(node: ast.AST):
             base = ".".join(filter(None, ("modsweep" if child.level else "", child.module)))
             dotted = [f"{base}.{alias.name}" for alias in child.names]
         yield from (name.split(".")[1] for name in dotted if name.startswith("modsweep."))
-        yield from _runtime_imports(child)
+        yield from _imports(child)
 
 
 def test_modules_import_only_lower_layers():
     src = Path(__file__).resolve().parents[1] / "src" / "modsweep"
     modules = sorted(p.stem for p in src.glob("*.py") if p.stem not in ("__init__", "__main__"))
     assert modules == sorted(LAYERS)
-    upward = {name: sorted(set(_runtime_imports(ast.parse((src / f"{name}.py").read_text())))
+    upward = {name: sorted(set(_imports(ast.parse((src / f"{name}.py").read_text())))
                            - set(LAYERS[:LAYERS.index(name)]))
               for name in LAYERS}
     assert upward == {name: [] for name in LAYERS}
+
+
+def test_all_names_every_public_attribute():
+    """``modsweep.__all__`` lists exactly the package's public names that
+    are not submodules, so the import blocks and the list cannot drift."""
+    public = {name for name, value in vars(modsweep).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(modsweep.__all__) == public
 
 
 def _flags(parser: argparse.ArgumentParser) -> set[str]:

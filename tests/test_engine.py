@@ -484,7 +484,7 @@ class TestQuotientRestart:
         rng = random.Random(43)
         for _ in range(15):
             g = random_graph(rng, rng.randint(6, 30), connected=True)
-            full, _ = detect_communities(g, Fraction(1, 3))
+            full, trace = detect_communities(g, Fraction(1, 3))
 
             eng = SweepEngine(g)
             eng.record_trace()
@@ -500,6 +500,7 @@ class TestQuotientRestart:
                 tail_a.append((rec.t_exact, rec.k))
             composed = compose(mid, eng2.partition())
             assert composed == full
+            assert tail_a == [(r.t_exact, r.k) for r in trace[len(eng.trace):]]
 
     def test_resume_from_every_trace_partition(self, karate):
         """The sweep depends only on its partition: a fresh engine on the

@@ -1,4 +1,5 @@
-"""Scores, complements, merge gains, stability certificates, and bounds."""
+"""Block aggregates, scores, complements, merge gains, stability
+certificates, and bounds."""
 
 import random
 from fractions import Fraction
@@ -24,6 +25,138 @@ from modsweep import (
 )
 
 from conftest import blocks, random_graph, random_partition
+
+
+@pytest.fixture
+def tri_singletons(triangle):
+    return CommunityAggregates.from_partition(triangle, singleton_partition(triangle))
+
+
+@pytest.fixture
+def barbell_blocks(barbell):
+    return CommunityAggregates.from_partition(barbell, Partition([0, 0, 0, 1, 1, 1]))
+
+
+class TestEdgeFraction:
+    def test_triangle_pair(self, tri_singletons):
+        assert tri_singletons.edge_fraction(0, 1) == Fraction(1, 6)
+
+    def test_whole_diagonal_is_total_mass(self, triangle):
+        agg = CommunityAggregates.from_partition(triangle, Partition([0, 0, 0]))
+        assert agg.edge_fraction(0, 0) == 1
+
+    def test_barbell_cross(self, barbell_blocks):
+        assert barbell_blocks.edge_fraction(0, 1) == Fraction(1, 14)
+
+    def test_unknown_community(self, tri_singletons):
+        with pytest.raises(ValueError):
+            tri_singletons.edge_fraction(0, 99)
+
+
+class TestExpectedFraction:
+    def test_triangle_pair(self, tri_singletons):
+        assert tri_singletons.expected_fraction(0, 1) == Fraction(1, 9)
+
+    def test_barbell_diagonal(self, barbell_blocks):
+        assert barbell_blocks.expected_fraction(0, 0) == Fraction(1, 4)
+
+    def test_total_mass_is_one(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n)
+            agg = CommunityAggregates.from_partition(g, random_partition(rng, n))
+            total = sum(
+                agg.expected_fraction(a, b)
+                for a in range(agg.k) for b in range(agg.k)
+            )
+            assert total == 1
+
+
+class TestExcess:
+    def test_triangle_pair_positive(self, tri_singletons):
+        assert tri_singletons.excess(0, 1, 1) == Fraction(1, 18)
+
+    def test_zero_at_own_ratio(self, barbell_blocks):
+        t = Fraction(barbell_blocks.edge_fraction(0, 1), barbell_blocks.expected_fraction(0, 1))
+        assert barbell_blocks.excess(0, 1, t) == 0
+
+    def test_barbell_cross_negative(self, barbell_blocks):
+        assert barbell_blocks.excess(0, 1, 1) == Fraction(1, 14) - Fraction(1, 4)
+
+    def test_rejects_nonpositive_t(self, tri_singletons):
+        with pytest.raises(ValueError):
+            tri_singletons.excess(0, 1, 0)
+
+
+class TestBoundaryFraction:
+    def test_whole_set(self, triangle):
+        agg = CommunityAggregates.from_partition(triangle, Partition([0, 0, 0]))
+        assert agg.boundary_fraction(0) == 0
+
+    def test_barbell_block(self, barbell_blocks):
+        assert barbell_blocks.boundary_fraction(0) == Fraction(1, 14)
+
+    def test_triangle_singleton(self, tri_singletons):
+        assert tri_singletons.boundary_fraction(0) == Fraction(2, 6)
+
+
+class TestAggregateInvariants:
+    def test_totals_and_marginals(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n)
+            agg = CommunityAggregates.from_partition(g, random_partition(rng, n))
+            assert sum(agg.block_degree) == agg.z
+            cross_total = 2 * sum(w for _, _, w in agg.pairs())
+            assert sum(agg.internal) + cross_total == agg.z
+            for c in range(agg.k):
+                others = sum(agg.cross_weight(c, d) for d in range(agg.k) if d != c)
+                assert agg.block_degree[c] == agg.internal[c] + others
+
+    def test_diagonal_plus_offdiagonal_marginal(self):
+        """excess(C, C, t) + excess(C, rest, t) == (1 - t) * degree_fraction(C)."""
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            g = random_graph(rng, n)
+            agg = CommunityAggregates.from_partition(g, random_partition(rng, n))
+            t = Fraction(rng.randint(1, 30), rng.randint(1, 10))
+            for c in range(agg.k):
+                off = sum(agg.excess(c, d, t) for d in range(agg.k) if d != c)
+                assert agg.excess(c, c, t) + off == (1 - t) * agg.degree_fraction(c)
+
+    def test_degree_split_and_rho_chain(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n)
+            agg = CommunityAggregates.from_partition(g, random_partition(rng, n))
+            for c in range(agg.k):
+                rho = agg.boundary_fraction(c)
+                m_e = agg.edge_fraction(c, c)
+                assert agg.degree_fraction(c) == m_e + rho
+                assert m_e + rho <= m_e + 2 * rho <= 1
+
+    def test_per_set_bounds(self):
+        """The four diagonal bounds, plus the lower bound for t <= 1."""
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n)
+            agg = CommunityAggregates.from_partition(g, random_partition(rng, n))
+            t = Fraction(rng.randint(1, 20), rng.randint(10, 20))
+            for c in range(agg.k):
+                m_e = agg.edge_fraction(c, c)
+                m_v = agg.degree_fraction(c)
+                rho = agg.boundary_fraction(c)
+                mu = agg.excess(c, c, t)
+                assert mu == m_e * (1 - t * (m_e + 2 * rho)) - t * rho * rho
+                assert mu <= m_e * (1 - t * m_v)
+                assert mu <= m_e * (1 - 2 * t * rho)
+                if t <= 1:
+                    assert mu >= -t * rho * rho
 
 
 class TestModularity:

@@ -28,6 +28,7 @@ class TestPartitionBasics:
         p = Partition([7, 7, 3, 7, 3])
         assert p.assign == [0, 0, 1, 0, 1]
         assert blocks(p) == [[0, 1, 3], [2, 4]]
+        assert repr(p) == "Partition(5 vertices, 2 blocks)"
         rng = random.Random(17)
         for _ in range(200):
             alphabet = rng.choice((range(rng.randint(1, 30)), "abcdefgh", (None, -1, 2.5, "x", (0,))))
