@@ -64,6 +64,7 @@ and the returned partition.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -125,8 +126,10 @@ class SweepEngine:
     from ``CommunityAggregates`` on ``partition()``.  ``_rows[slot]`` is
     its candidate row, a heap of ``(integer key of w/d_low, partner id,
     partner slot, d_low, w)``, or None before its first pair is filed (see
-    the module docstring).  The sweep never reads the input ``graph`` after
-    construction; only ``check_stable`` does, to certify the result.
+    the module docstring).  Until a merge first writes it, ``_adj[slot]``
+    is still the input graph's row, loop included; the sweep reads the
+    input ``graph`` only through those rows and never writes it, and
+    ``check_stable`` reads it to certify the result.
 
     Counters, all plain ints: ``merges``; ``max_group``, the most merges in
     one ``resolution_sweep``; ``heap_pushes``, entries pushed one at a time
@@ -140,9 +143,10 @@ class SweepEngine:
         n = graph.n
         self.n = n
         z = self.z = graph.z
-        adj: list[dict[int, int] | None] = [dict(nbrs) for nbrs in graph.adj]
+        adj: list[dict[int, int] | None] = list(graph.adj)
         self._adj = adj
-        self.w_internal = sum(row.pop(v, 0) for v, row in enumerate(adj))
+        self._owned = bytearray(n)  # 1 once a slot's row is its own copy
+        self.w_internal = sum(row.get(v, 0) for v, row in enumerate(adj))
         deg = self.deg = list(graph.deg)
         ids = list(range(n))
         self._pid = ids
@@ -159,12 +163,13 @@ class SweepEngine:
         rows: list[list | None] = [None] * n
         heap = []
         owned = []
+        key = cache(_key)  # equal keys share one int
         for u in range(n):
             du = deg[u]
             for v, w in adj[u].items():
                 dv = deg[v]
                 if dv < du or (dv == du and v < u):
-                    owned.append((_key(w, dv, scale), v, v, dv, w))
+                    owned.append((key(w, dv, scale), v, v, dv, w))
             if owned:
                 # a copy is allocated at its exact size
                 row = rows[u] = owned[:]
@@ -172,7 +177,7 @@ class SweepEngine:
                 heapify(row)
                 _, v, _, d, w = row[0]
                 a, b = (v, u) if v < u else (u, v)
-                heap.append((_key(w, d * du, gscale), a, b, u, 0))
+                heap.append((key(w, d * du, gscale), a, b, u, 0))
         heapify(heap)
         self._rows = rows
         self._stamp = [0] * n
@@ -298,6 +303,13 @@ class SweepEngine:
         heappush(self._heap, (_key(w, d * deg[po], self._gscale), lo, hi, o, stamp))
         self.heap_pushes += 1
 
+    def _own(self, s: int) -> dict[int, int]:
+        """Copy slot s's shared input row, without its loop, before its first write."""
+        row = self._adj[s] = dict(self._adj[s])
+        row.pop(s, None)
+        self._owned[s] = 1
+        return row
+
     def _merge(self, a: int, b: int, o: int) -> None:
         """Merge community b into a (public ids, a < b, the current front of
         slot o's row), updating aggregates and rows.
@@ -324,13 +336,15 @@ class SweepEngine:
         db = deg[b]
         row_a = adj[sa]
         row_b = adj[sb]
-        wab = row_a.pop(sb)
-        del row_b[sa]
-        if len(row_b) > len(row_a):
-            big, small, row_l, row_s = sb, sa, row_b, row_a
+        # a row still shared with the input graph holds its loop
+        if len(row_b) - (sb in row_b) > len(row_a) - (sa in row_a):
+            big, small, row_s = sb, sa, row_a
             pid[sb] = a
         else:
-            big, small, row_l, row_s = sa, sb, row_a, row_b
+            big, small, row_s = sa, sb, row_b
+        owned = self._owned
+        row_l = adj[big] if owned[big] else self._own(big)
+        wab = row_l.pop(small)
         self.w_internal += 2 * wab
         self.deg_sq += 2 * da * db
         deg[a] = da + db
@@ -339,11 +353,14 @@ class SweepEngine:
         self._stamp[small] += 1  # retires the smaller side's published entry
         adj[small] = rows[small] = None
         self.merges += 1
-        if len(row_s) > self.max_rewired:
-            self.max_rewired = len(row_s)
+        moved = len(row_s) - 1 - (small in row_s)
+        if moved > self.max_rewired:
+            self.max_rewired = moved
         file = self._file
         for v, w in row_s.items():
-            row_v = adj[v]
+            if v == big or v == small:  # the merged pair, or a shared row's loop
+                continue
+            row_v = adj[v] if owned[v] else self._own(v)
             del row_v[small]
             w += row_l.get(v, 0)
             row_l[v] = row_v[big] = w

@@ -10,8 +10,8 @@ builds its graph through ``Graph.from_edge_list``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph, connected_components, refine_connected
 from .modularity import CommunityAggregates
@@ -67,8 +67,7 @@ def complete_binary_tree(height: int) -> Graph:
     return Graph.from_edge_list([((v - 1) >> 1, v, 1) for v in range(1, n)])
 
 
-@dataclass(frozen=True)
-class TreeBound:
+class TreeBound(NamedTuple):
     """Closed-form score ceiling for any tree of total weight z."""
     z: int
     blocks: int

@@ -19,9 +19,8 @@ Every quantity is an exact ``Fraction`` or integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DisconnectedError
 from .graph import Graph, min_cut, quotient
@@ -165,8 +164,7 @@ def merge_gain(aggregates: CommunityAggregates, a: int, b: int, t) -> Fraction:
     return 2 * aggregates.excess(a, b, t)
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     """One verified inequality, with its exact sides; ``passed`` is None
     when not applicable."""
     name: str
@@ -176,8 +174,7 @@ class CheckRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ScalingCheck:
+class ScalingCheck(NamedTuple):
     """Per-community degree-fraction window implied by the minimum cut, exact."""
     community: int
     degree_fraction: Fraction
@@ -186,8 +183,7 @@ class ScalingCheck:
     passed: bool
 
 
-@dataclass
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Every general inequality of the score, evaluated exactly.
 
     ``checks`` holds one row per inequality family (with a witness note on
@@ -203,8 +199,8 @@ class BoundsReport:
     witness: tuple[int, int] | None
     min_cut_value: int | None
     max_blocks: Fraction | None
-    scaling: list[ScalingCheck] = field(default_factory=list)
-    checks: list[CheckRow] = field(default_factory=list)
+    scaling: list[ScalingCheck]
+    checks: list[CheckRow]
 
     @property
     def all_pass(self) -> bool:

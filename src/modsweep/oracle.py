@@ -8,9 +8,8 @@ decision compares exact integers, so ties are decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import SizeLimitError
 from .graph import Graph
@@ -47,8 +46,7 @@ def set_partitions(n: int) -> Iterator[list[int]]:
             b[j] = nb
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """The first exact maximizer, its exact score and the partitions examined."""
     best_q: Fraction
     best_partition: Partition

@@ -23,6 +23,14 @@ from modsweep.rational import rounded
 BARBELL_TEXT = "a b\nb c\na c\nd e\ne f\nd f\nc d\n"
 
 
+def child_env() -> dict[str, str]:
+    """Environment in which a child process imports the package from the
+    same source tree as the tests."""
+    src = str(Path(modsweep.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -104,10 +112,7 @@ class TestDetect:
         assert "final_resolution_exact 2/7" in out
 
     def test_stdin_pipe(self, tmp_path):
-        # the child imports the package from the same source tree as the tests
-        src = str(Path(modsweep.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+        env = child_env()
         gen = subprocess.run(
             [sys.executable, "-m", "modsweep", "gen", "tree", "--height", "5"],
             capture_output=True, text=True, check=True, env=env,
@@ -458,6 +463,16 @@ def test_modules_import_only_lower_layers():
                            - set(LAYERS[:LAYERS.index(name)]))
               for name in LAYERS}
     assert upward == {name: [] for name in LAYERS}
+
+
+def test_cli_import_is_light():
+    """Importing the CLI loads neither ``dataclasses`` nor ``inspect``, which
+    bring ``ast``, ``dis`` and ``tokenize`` with them and which no module
+    uses: about 1 MB of resident memory in every process."""
+    code = "import sys, modsweep.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=child_env())
+    assert child.stdout == "[]\n"
 
 
 def test_all_names_every_public_attribute():

@@ -163,6 +163,12 @@ class TestTreeBound:
             for s in range(1, 40):
                 assert profile <= tree_score_profile(s, z)
 
+    def test_repr_and_immutability(self):
+        tb = tree_bound(30)
+        assert repr(tb) == "TreeBound(z=30, blocks=4, bound=Fraction(11, 20))"
+        with pytest.raises(AttributeError):
+            tb.blocks = 5
+
     def test_bound_range(self):
         for z in range(6, 2000, 2):
             assert 0 < tree_bound(z).bound < 1

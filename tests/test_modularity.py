@@ -1,6 +1,7 @@
 """Block aggregates, scores, complements, merge gains, stability
 certificates, and bounds."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from modsweep import (
     CommunityAggregates,
+    Graph,
     Partition,
     best_partition,
     bounds_report,
@@ -498,3 +500,28 @@ class TestBoundsReport:
         text = bounds_report(barbell, Partition([0, 0, 0, 1, 1, 1]), 1).render()
         assert "merge_stable PASS" in text
         assert "q_stability_floor PASS" in text
+
+    def test_repr_is_pinned(self, karate):
+        """The report's ``repr`` keeps its fields, their order and its text:
+        sha256 on karate's t = 1 sweep output and on a seeded connected
+        400-vertex planted graph's."""
+        rng = random.Random(71)
+        n = 400
+        block = [rng.randrange(12) for _ in range(n)]
+        edges = [(v, (v + 1) % n, 1) for v in range(n)]
+        edges += [(u, v, rng.randint(1, 4)) for u in range(n) for v in range(u + 1, n)
+                  if rng.random() < (0.1 if block[u] == block[v] else 0.004)]
+        digests = []
+        for g in (karate[0], Graph.from_edge_list(edges)):
+            part, _ = detect_communities(g, 1)
+            digests.append(hashlib.sha256(repr(bounds_report(g, part, 1)).encode()).hexdigest())
+        assert digests == [
+            "82ae0aec6fd2b966695ac3c44cdd1d81cd2b0adf53ff4c2e45601f5bb2a99695",
+            "59ae166ef19d753c0fd3a7d81e7a69398748420f7ad6f6c327196457439fdb87",
+        ]
+
+    def test_records_are_immutable(self, barbell):
+        rep = bounds_report(barbell, Partition([0, 0, 0, 1, 1, 1]), 1)
+        for record, name in ((rep, "k"), (rep.checks[0], "passed"), (rep.scaling[0], "passed")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)

@@ -106,6 +106,14 @@ class TestBestPartition:
         with pytest.raises(SizeLimitError):
             best_partition(g, 1)
 
+    def test_result_repr_and_immutability(self):
+        g = Graph.from_edge_list([(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (3, 4, 2)])
+        res = best_partition(g, 1)
+        assert repr(res) == ("OracleResult(best_q=Fraction(23, 72), best_partition="
+                             "Partition(5 vertices, 2 blocks), partitions_examined=52)")
+        with pytest.raises(AttributeError):
+            res.best_q = 0
+
 
 class TestCoarseningOptimal:
     def test_whole_set_trivially_optimal(self, triangle):
