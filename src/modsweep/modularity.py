@@ -49,8 +49,8 @@ class CommunityAggregates:
         return cls(quotient(graph, partition))
 
     def _check(self, c: int) -> None:
-        if not 0 <= c < self.k:
-            raise ValueError(f"unknown community id {c}")
+        if type(c) is not int or not 0 <= c < self.k:  # a bool or a float is no id
+            raise ValueError(f"unknown community id {c!r}")
 
     def cross_weight(self, a: int, b: int) -> int:
         """Integer one-orientation crossing weight between two blocks."""

@@ -64,9 +64,10 @@ def format_partition(partition: Partition, labels: list[str] | None = None) -> s
 
 
 def _fields(source) -> Iterator[tuple[int, str, list[str]]]:
-    """Yield (line number, line, fields) for each line of a text or an
-    iterable of lines that has fields; ``#`` starts a comment."""
-    lines = source.splitlines() if isinstance(source, str) else source
+    """Yield (line number, line, fields) for each line, as ``str.splitlines``
+    cuts a text or each line of a stream, that has fields; ``#`` starts a comment."""
+    lines = source.splitlines() if isinstance(source, str) else (
+        piece for line in source for piece in line.splitlines() or [line])
     for lineno, raw in enumerate(lines, 1):
         parts = raw.split("#", 1)[0].split()
         if parts:

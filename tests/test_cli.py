@@ -407,9 +407,9 @@ def test_only_main_writes_stdout():
 
 
 def test_one_graph_builder():
-    """Graphs are built by ``Graph.from_edge_list``, which calls ``cls``, and
-    by ``quotient`` from a checked graph; no function hands ``Graph`` an
-    adjacency of its own."""
+    """Graphs are built by ``Graph.from_edge_list``, the one public builder,
+    and by ``quotient`` from a checked graph, both through ``_build``;
+    ``Graph(...)`` raises, and no function calls it."""
     assert _call_sites("Graph") == set()
 
 

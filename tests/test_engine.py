@@ -306,7 +306,7 @@ class TestDetect:
             detect_communities(g, 1)
 
     def test_single_vertex_with_loop(self):
-        g = Graph([{0: 2}])
+        g = Graph.from_edge_list([(0, 0, 1)])
         part, trace = detect_communities(g, 1)
         assert len(part) == 1
         assert trace[0].t == 0.0

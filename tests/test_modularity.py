@@ -39,6 +39,20 @@ def barbell_blocks(barbell):
     return CommunityAggregates.from_partition(barbell, Partition([0, 0, 0, 1, 1, 1]))
 
 
+def test_community_id_is_an_int_in_range(barbell_blocks):
+    """A block id is an int in 0..k-1; a bool or a float equal to one is
+    not, so no accessor reads block 1 for ``True`` or fails on ``1.0``
+    with a bare TypeError."""
+    agg = barbell_blocks
+    pair_reads = (agg.cross_weight, agg.edge_fraction, agg.expected_fraction,
+                  lambda a, b: agg.excess(a, b, 1))
+    for bad in (True, 1.0, -1, agg.k):
+        for read, args in ([(f, (bad, 0)) for f in pair_reads] + [(f, (0, bad)) for f in pair_reads]
+                           + [(agg.boundary_fraction, (bad,)), (agg.degree_fraction, (bad,))]):
+            with pytest.raises(ValueError, match=f"^unknown community id {bad!r}$"):
+                read(*args)
+
+
 class TestEdgeFraction:
     def test_triangle_pair(self, tri_singletons):
         assert tri_singletons.edge_fraction(0, 1) == Fraction(1, 6)

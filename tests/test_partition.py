@@ -13,6 +13,7 @@ from modsweep import (
     compose,
     complete_binary_tree,
     format_partition,
+    load_edge_list,
     modularity,
     parse_partition,
     refine_connected,
@@ -48,7 +49,7 @@ class TestPartitionBasics:
 
     def test_singletons(self, triangle):
         assert len(singleton_partition(triangle)) == 3
-        assert len(singleton_partition(Graph([{0: 2}]))) == 1
+        assert len(singleton_partition(Graph.from_edge_list([(0, 0, 1)]))) == 1
 
     def test_karate_singletons(self, karate):
         g, _ = karate
@@ -157,6 +158,32 @@ class TestPartitionIO:
     def test_iterable_of_lines(self):
         p = parse_partition(io.StringIO("a x\n# comment\nb y\nc x\n"), ["a", "b", "c"])
         assert p.assign == [0, 1, 0]
+
+    @pytest.mark.parametrize("sep", [
+        "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r", "\r\n", "\n"])
+    @pytest.mark.parametrize("probe", ["a b{sep}c d", "a b{sep}c", "a b 2{sep}{sep}x y z w"])
+    def test_text_and_stream_split_alike(self, probe, sep):
+        """A text and a stream of it give the same lines, wherever
+        ``str.splitlines`` breaks: equal results, or equal errors with
+        equal line numbers."""
+        text = probe.format(sep=sep)
+        for read in (_graph_rows, lambda source: parse_partition(source, ["a", "c"]).assign):
+            want = _result_or_error(read, text)
+            for stream in (io.StringIO(text), io.StringIO(text, newline="")):
+                assert _result_or_error(read, stream) == want
+
+
+def _graph_rows(source):
+    g, labels = load_edge_list(source)
+    return labels, g.adj
+
+
+def _result_or_error(read, source):
+    """``read(source)``, or the text of the FormatError it raises."""
+    try:
+        return read(source)
+    except FormatError as exc:
+        return str(exc)
 
 
 class TestCompose:
