@@ -127,9 +127,9 @@ class SweepEngine:
     its candidate row, a heap of ``(integer key of w/d_low, partner id,
     partner slot, d_low, w)``, or None before its first pair is filed (see
     the module docstring).  Until a merge first writes it, ``_adj[slot]``
-    is still the input graph's row, loop included; the sweep reads the
-    input ``graph`` only through those rows and never writes it, and
-    ``check_stable`` reads it to certify the result.
+    is None and the row is read from the input ``graph``'s arrays, which
+    the sweep never writes; ``check_stable`` reads them to certify.  Init
+    files each partner under the engine's own id int, not the array's copy.
 
     Counters, all plain ints: ``merges``; ``max_group``, the most merges in
     one ``resolution_sweep``; ``heap_pushes``, entries pushed one at a time
@@ -143,10 +143,8 @@ class SweepEngine:
         n = graph.n
         self.n = n
         z = self.z = graph.z
-        adj: list[dict[int, int] | None] = list(graph.adj)
-        self._adj = adj
-        self._owned = bytearray(n)  # 1 once a slot's row is its own copy
-        self.w_internal = sum(row.get(v, 0) for v, row in enumerate(adj))
+        self._adj: list[dict[int, int] | None] = [None] * n
+        self.w_internal = sum(graph.loop)
         deg = self.deg = list(graph.deg)
         ids = list(range(n))
         self._pid = ids
@@ -164,12 +162,11 @@ class SweepEngine:
         heap = []
         owned = []
         key = cache(_key)  # equal keys share one int
-        for u in range(n):
-            du = deg[u]
-            for v, w in adj[u].items():
+        for u, (du, row) in enumerate(zip(deg, graph.rows())):
+            for v, w in row:
                 dv = deg[v]
                 if dv < du or (dv == du and v < u):
-                    owned.append((key(w, dv, scale), v, v, dv, w))
+                    owned.append((key(w, dv, scale), ids[v], ids[v], dv, w))
             if owned:
                 # a copy is allocated at its exact size
                 row = rows[u] = owned[:]
@@ -278,8 +275,9 @@ class SweepEngine:
         """Enter the front pair of slot o's row in the global heap.
 
         Stale fronts are popped first: a lapsed pair is filed again and a
-        superseded one dropped.  The stamp retires the row's older global
-        entries; an emptied row publishes nothing.
+        superseded one dropped (a row no merge wrote keeps its input
+        weights).  The stamp retires the row's older global entries; an
+        emptied row publishes nothing.
         """
         row = self._rows[o]
         deg = self.deg
@@ -291,7 +289,7 @@ class SweepEngine:
                 break
             _, _, s, _, w = heappop(row)
             self.stale_pops += 1
-            if weights.get(s) == w and self._file(o, s, w) == s:
+            if (weights is None or weights.get(s) == w) and self._file(o, s, w) == s:
                 self._publish(s)
         else:
             stamps[o] += 1
@@ -304,10 +302,11 @@ class SweepEngine:
         self.heap_pushes += 1
 
     def _own(self, s: int) -> dict[int, int]:
-        """Copy slot s's shared input row, without its loop, before its first write."""
-        row = self._adj[s] = dict(self._adj[s])
-        row.pop(s, None)
-        self._owned[s] = 1
+        """Build slot s's row from the input arrays before its first write."""
+        row = self._adj[s] = {}
+        off, nbr, wt = self.graph.off, self.graph.nbr, self.graph.wt
+        for j in range(off[s], off[s + 1]):
+            row[nbr[j]] = wt[j]
         return row
 
     def _merge(self, a: int, b: int, o: int) -> None:
@@ -334,16 +333,18 @@ class SweepEngine:
             sa, sb = sp, o
         da = deg[a]
         db = deg[b]
-        row_a = adj[sa]
-        row_b = adj[sb]
-        # a row still shared with the input graph holds its loop
-        if len(row_b) - (sb in row_b) > len(row_a) - (sa in row_a):
-            big, small, row_s = sb, sa, row_a
+        off = self.graph.off
+        row_a, row_b = adj[sa], adj[sb]
+        na = off[sa + 1] - off[sa] if row_a is None else len(row_a)
+        nb = off[sb + 1] - off[sb] if row_b is None else len(row_b)
+        if nb > na:
+            big, small, row_s, moved = sb, sa, row_a, na - 1
             pid[sb] = a
         else:
-            big, small, row_s = sa, sb, row_b
-        owned = self._owned
-        row_l = adj[big] if owned[big] else self._own(big)
+            big, small, row_s, moved = sa, sb, row_b, nb - 1
+        if row_s is None:  # a one-entry row holds only the merged pair
+            row_s = self._own(small) if moved else {}
+        row_l = adj[big] or self._own(big)  # holds the pair, so it is nonempty once owned
         wab = row_l.pop(small)
         self.w_internal += 2 * wab
         self.deg_sq += 2 * da * db
@@ -353,14 +354,13 @@ class SweepEngine:
         self._stamp[small] += 1  # retires the smaller side's published entry
         adj[small] = rows[small] = None
         self.merges += 1
-        moved = len(row_s) - 1 - (small in row_s)
         if moved > self.max_rewired:
             self.max_rewired = moved
         file = self._file
         for v, w in row_s.items():
-            if v == big or v == small:  # the merged pair, or a shared row's loop
+            if v == big:  # the merged pair
                 continue
-            row_v = adj[v] if owned[v] else self._own(v)
+            row_v = adj[v] or self._own(v)  # holds small, so it is nonempty once owned
             del row_v[small]
             w += row_l.get(v, 0)
             row_l[v] = row_v[big] = w

@@ -147,9 +147,8 @@ def tree_modularity_identity(graph: Graph, partition: Partition) -> tuple[Fracti
     because collapsing an internally connected partition of a tree yields a
     tree again, with exactly k - 1 crossing edges.
     """
-    for u, nbrs in enumerate(graph.adj):
-        if u in nbrs:
-            raise ValueError("graph has self-loops, not a tree")
+    if any(graph.loop):
+        raise ValueError("graph has self-loops, not a tree")
     if len(connected_components(graph)) != 1:
         raise ValueError("graph is disconnected, not a tree")
     if graph.z != 2 * (graph.n - 1):

@@ -1,17 +1,25 @@
 """Symmetric integer-weighted graphs, their quotients, components and cuts.
 
-Weights are kept as a symmetric map ``m(u, v)`` over ordered vertex pairs.
-The total weight ``z`` sums over ordered pairs, so each undirected edge is
-counted twice while a stored diagonal entry counts once.  A self-loop line
-``v v w`` in the edge-list format therefore stores ``m(v, v) += 2*w``, which
-makes the weighted degree ``deg(v)`` equal the usual adjacency-matrix row
-sum.  All weights are positive integers and every vertex must have positive
-degree.
+Weights form a symmetric map ``m(u, v)`` over ordered vertex pairs.  The
+total weight ``z`` sums over ordered pairs, so each undirected edge is
+counted twice while a diagonal entry counts once.  A self-loop line
+``v v w`` in the edge-list format therefore adds ``2*w`` to ``m(v, v)``,
+which makes the weighted degree ``deg(v)`` equal the usual adjacency-matrix
+row sum.  All weights are positive integers and every vertex must have
+positive degree.
+
+A graph is held in flat arrays, not one map per vertex: ``loop[u]`` is
+``m(u, u)``, and row ``u``'s other entries are the slice ``off[u]:off[u+1]``
+of ``nbr`` (neighbour ids, an ``array('q')``) and ``wt`` (weights, a list of
+unbounded ints), in order of first appearance.  ``adj`` is a derived view.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from itertools import accumulate, chain, islice, repeat
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedError, FormatError, IsolatedVertexError
@@ -19,27 +27,18 @@ from .partition import Partition, _fields
 
 
 class Graph:
-    """Immutable weighted graph over dense vertex indices 0..n-1.
+    """Immutable weighted graph on vertices 0..n-1, in the module's flat arrays
+    with degrees ``deg`` and total ``z``.  No rows are accepted from outside:
+    ``from_edge_list`` checks each triple, and ``quotient`` sums a checked graph."""
 
-    ``adj[u]`` maps each neighbour ``v`` (possibly ``u`` itself) to the
-    integer weight ``m(u, v)``; treat instances as read-only.  Rows are never
-    accepted from outside: ``from_edge_list`` checks each triple and writes
-    both directions, and ``quotient`` sums a checked graph unchecked.
-    """
-
-    __slots__ = ("n", "adj", "deg", "z")
+    __slots__ = ("n", "deg", "z", "loop", "off", "nbr", "wt")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a Graph with Graph.from_edge_list")
 
-    def _build(self, adj: list[dict[int, int]]) -> "Graph":
-        """Set ``n``, ``adj``, ``deg`` and ``z``; reject an empty vertex set."""
-        if not adj:
-            raise ValueError("a graph needs at least one vertex")
-        self.n = len(adj)
-        self.adj = adj
-        self.deg = [sum(nbrs.values()) for nbrs in adj]
-        self.z = sum(self.deg)
+    def _build(self, loop: list, deg: list, off: array, nbr: array, wt: list) -> "Graph":
+        self.n, self.z = len(loop), sum(deg)
+        self.loop, self.deg, self.off, self.nbr, self.wt = loop, deg, off, nbr, wt
         return self
 
     @classmethod
@@ -50,41 +49,68 @@ class Graph:
         vertex named, so each of them must appear in a triple.  Each vertex
         must be a non-negative int and each weight a positive int.
         Duplicate triples accumulate.  A triple with ``u == v`` adds ``2*w``
-        to the stored diagonal, mirroring the edge-list loop convention.
+        to the diagonal, mirroring the edge-list loop convention.
         """
-        adj: list[dict[int, int]] = []
+        pairs: dict[tuple[int, int], int] = {}  # (low, high): weight, first seen first
+        loops: dict[int, int] = {}
+        get, top = pairs.get, -1
         for u, v, w in edges:
             if type(w) is not int or w <= 0:
                 raise ValueError(f"edge {(u, v, w)} has a weight that is not a positive integer")
             if type(u) is not int or type(v) is not int or u < 0 or v < 0:
                 raise ValueError(f"edge {(u, v, w)} has a vertex that is not a non-negative integer")
-            try:
-                row, col = adj[u], adj[v]
-            except IndexError:  # grow by an eighth or more, so this runs O(log n) times
-                adj += [{} for _ in range(max(u, v) + 1 + len(adj) // 8 - len(adj))]
-                row, col = adj[u], adj[v]
+            if u > v:
+                u, v = v, u
+            if v > top:
+                top = v
             if u == v:
-                row[u] = row.get(u, 0) + 2 * w
+                loops[u] = loops.get(u, 0) + 2 * w
             else:
-                row[v] = row.get(v, 0) + w
-                col[u] = col.get(u, 0) + w
-        while adj and not adj[-1]:  # the largest vertex named has a nonempty row
-            adj.pop()
-        graph = cls.__new__(cls)._build(adj)
-        if 0 in graph.deg:
-            raise IsolatedVertexError(f"vertex {graph.deg.index(0)} has zero total degree")
-        return graph
+                key = u, v
+                pairs[key] = get(key, 0) + w
+        n = top + 1
+        if not n:
+            raise ValueError("a graph needs at least one vertex")
+        if n > 2 * len(pairs) + len(loops):  # a vertex is unnamed: find it before any row exists
+            named = {*loops, *chain.from_iterable(pairs)}
+            raise IsolatedVertexError(
+                f"vertex {next(v for v in range(n) if v not in named)} has zero total degree")
+        loop = list(map(loops.get, range(n), repeat(0)))
+        size = [0] * n
+        for u, v in pairs:
+            size[u] += 1
+            size[v] += 1
+        off = array("q", accumulate(size, initial=0))
+        at = off.tolist()  # the next free slot of each row
+        nbr, wt, deg = [0] * off[-1], [0] * off[-1], loop[:]
+        for (u, v), w in pairs.items():
+            j = at[u]
+            nbr[j], wt[j], at[u] = v, w, j + 1
+            j = at[v]
+            nbr[j], wt[j], at[v] = u, w, j + 1
+            deg[u] += w
+            deg[v] += w
+        if 0 in deg:
+            raise IsolatedVertexError(f"vertex {deg.index(0)} has zero total degree")
+        return cls.__new__(cls)._build(loop, deg, off, array("q", nbr), wt)
+
+    def rows(self) -> Iterator[Iterator[tuple[int, int]]]:
+        """Each vertex's (neighbour, weight) pairs, row after row; read each to its end."""
+        sizes = map(sub, islice(self.off, 1, None), self.off)
+        return map(islice, repeat(zip(self.nbr, self.wt)), sizes)
+
+    @property
+    def adj(self) -> list[dict[int, int]]:
+        """Per-vertex maps of ``m(u, v)``, loop first: a view rebuilt on each access."""
+        return [dict(chain([(u, d)] if d else (), row))
+                for u, (d, row) in enumerate(zip(self.loop, self.rows()))]
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield each unordered pair once as (u, v, w) with u <= v.
-
-        The diagonal entry, when present, is yielded once with its stored
-        (doubled) value.
-        """
-        for u, nbrs in enumerate(self.adj):
-            for v, w in nbrs.items():
-                if v >= u:
-                    yield u, v, w
+        """Yield each unordered pair once as (u, v, w) with u <= v, row by
+        row, the diagonal first, with its (doubled) value."""
+        for u, (d, row) in enumerate(zip(self.loop, self.rows())):
+            yield from [(u, u, d)] if d else ()
+            yield from ((u, v, w) for v, w in row if v > u)
 
 
 def load_edge_list(source) -> tuple[Graph, list[str]]:
@@ -97,7 +123,7 @@ def load_edge_list(source) -> tuple[Graph, list[str]]:
     order of first appearance; the returned list maps index back to label.
     """
     index: dict[str, int] = {}
-    edges: list[tuple[int, int, int]] = []
+    us, vs, ws = [], [], []  # the triples, one list per field: lighter than a tuple per line
     for lineno, raw, parts in _fields(source):
         if len(parts) not in (2, 3):
             raise FormatError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
@@ -111,12 +137,12 @@ def load_edge_list(source) -> tuple[Graph, list[str]]:
                 raise FormatError(f"line {lineno}: weight {parts[2]!r} is not an integer") from None
             if w <= 0:
                 raise FormatError(f"line {lineno}: weight must be positive, got {w}")
-        u = index.setdefault(parts[0], len(index))
-        v = index.setdefault(parts[1], len(index))
-        edges.append((u, v, w))
-    if not edges:
+        us.append(index.setdefault(parts[0], len(index)))
+        vs.append(index.setdefault(parts[1], len(index)))
+        ws.append(w)
+    if not ws:
         raise FormatError("no edges found in input")
-    return Graph.from_edge_list(edges), list(index)
+    return Graph.from_edge_list(zip(us, vs, ws)), list(index)
 
 
 def format_edge_list(graph: Graph, labels: list[str] | None = None) -> str:
@@ -145,13 +171,22 @@ def quotient(graph: Graph, partition: Partition) -> Graph:
     assign = partition.assign
     if len(assign) != graph.n:
         raise ValueError("partition does not cover this graph's vertex set")
-    rows: list[dict[int, int]] = [{} for _ in range(partition.k)]
-    for u, nbrs in enumerate(graph.adj):
-        row = rows[assign[u]]
-        for v, w in nbrs.items():
-            c = assign[v]
-            row[c] = row.get(c, 0) + w
-    return Graph.__new__(Graph)._build(rows)
+    loop = [0] * partition.k
+    rows: list[dict[int, int]] = [{} for _ in loop]
+    for c, d, row in zip(assign, graph.loop, graph.rows()):
+        loop[c] += d
+        block = rows[c]
+        for v, w in row:
+            b = assign[v]
+            if b == c:
+                loop[c] += w
+            else:
+                block[b] = block.get(b, 0) + w
+    weights = list(map(dict.values, rows))
+    deg = list(map(add, loop, map(sum, weights)))
+    off = array("q", accumulate(map(len, rows), initial=0))
+    nbr = array("q", chain.from_iterable(rows))
+    return Graph.__new__(Graph)._build(loop, deg, off, nbr, list(chain.from_iterable(weights)))
 
 
 def singleton_partition(graph: Graph) -> Partition:
@@ -178,7 +213,7 @@ def refine_connected(graph: Graph, partition: Partition) -> Partition:
         stack = [v0]
         while stack:
             u = stack.pop()
-            for v in graph.adj[u]:
+            for v in graph.nbr[graph.off[u]:graph.off[u + 1]]:
                 if label[v] < 0 and assign[v] == c:
                     label[v] = nxt
                     stack.append(v)
@@ -224,8 +259,10 @@ def min_cut(graph: Graph) -> int:
         raise ValueError("minimum cut needs at least two vertices")
     best = graph.z
     while graph.n > 1:
-        best = min(best, min(d - graph.adj[v].get(v, 0) for v, d in enumerate(graph.deg)))
-        parent = list(range(graph.n))
+        off, nbr, wt = graph.off, graph.nbr, graph.wt
+        best = min(best, min(map(sub, graph.deg, graph.loop)))
+        ids = list(range(graph.n))  # heap entries share these ints, not one per read
+        parent = ids[:]
         added = [False] * graph.n
         key = [0] * graph.n
         heap: list[tuple[int, int]] = [(0, 0)]
@@ -236,13 +273,14 @@ def min_cut(graph: Graph) -> int:
                 raise DisconnectedError("graph is not connected")
             v = heapq.heappop(heap)[1]
             added[v] = True
-            nbrs = graph.adj[v]
-            if len(nbrs) - (v in nbrs) == 2:
-                u = max((x for x in nbrs if x != v), key=nbrs.__getitem__)
+            a, b = off[v], off[v + 1]
+            if b - a == 2:
+                u = nbr[a] if wt[a] >= wt[a + 1] else nbr[a + 1]
                 parent[_root(parent, u)] = _root(parent, v)
-            for u, w in nbrs.items():
+            for j in range(a, b):
+                u = ids[nbr[j]]
                 if not added[u]:
-                    key[u] += w
+                    key[u] += wt[j]
                     heapq.heappush(heap, (-key[u], u))
                     if key[u] >= best:
                         parent[_root(parent, u)] = _root(parent, v)

@@ -1,12 +1,12 @@
 """Resolution-parametrized modularity, stability certificates, and bounds.
 
-For a partition, every score reads its ``quotient`` graph's rows, held by
-``CommunityAggregates``: ``rows[c]`` maps block ``c`` and each block
-adjacent to it to an integer weight.  The diagonal ``rows[c][c]`` is the
-internal weight ``w(C)`` (ordered pairs inside ``C``, so twice the
-undirected internal edge weight plus stored loop weight); ``rows[c][c']``
-is the one-orientation crossing weight ``w(C, C')``, stored in both rows; a
-row sums to the block degree ``d(C)``.  Zero entries are not stored.
+For a partition, every score reads its ``quotient`` graph, held by
+``CommunityAggregates``.  Its diagonal ``loop[c]`` is the internal weight
+``w(C)`` (ordered pairs inside ``C``, so twice the undirected internal edge
+weight plus stored loop weight); the entry of block ``c`` for an adjacent
+block ``c'`` is the one-orientation crossing weight ``w(C, C')``, stored in
+both rows; a row and its diagonal sum to the block degree ``d(C)``.  Zero
+entries are not stored.
 
 ``modularity(g, p, t)`` sums ``w(C)/z - t*(d(C)/z)**2`` over blocks; at
 ``t == 1`` this is the classic Newman score.  A partition is merge-stable at
@@ -31,18 +31,18 @@ from .rational import positive_fraction, rounded
 class CommunityAggregates:
     """Integer aggregates of a graph under a fixed partition.
 
-    Read from the partition's quotient graph: ``rows`` is its adjacency,
-    ``k`` its vertex count, ``block_degree`` its degrees and ``z`` its
-    total; only ``internal``, the diagonals, is computed here.  Every
-    score, certificate and bound below reads one of these.  The
-    brute-force oracles sum their own, so tests can compare against them.
+    Read from the partition's quotient graph ``coarse``: ``k`` is its
+    vertex count, ``block_degree`` its degrees, ``internal`` its diagonals
+    and ``z`` its total.  Every score, certificate and bound below reads
+    one of these or the quotient's rows.  The brute-force oracles sum their
+    own, so tests can compare against them.
     """
 
-    __slots__ = ("z", "k", "rows", "block_degree", "internal")
+    __slots__ = ("z", "k", "coarse", "block_degree", "internal")
 
     def __init__(self, coarse: Graph):
-        self.rows, self.k, self.block_degree, self.z = coarse.adj, coarse.n, coarse.deg, coarse.z
-        self.internal = [row.get(c, 0) for c, row in enumerate(self.rows)]
+        self.coarse, self.k, self.block_degree, self.z = coarse, coarse.n, coarse.deg, coarse.z
+        self.internal = coarse.loop
 
     @classmethod
     def from_partition(cls, graph: Graph, partition: Partition) -> "CommunityAggregates":
@@ -56,7 +56,9 @@ class CommunityAggregates:
         """Integer one-orientation crossing weight between two blocks."""
         self._check(a)
         self._check(b)
-        return self.rows[a].get(b, 0)
+        g = self.coarse
+        row = g.nbr[g.off[a]:g.off[a + 1]]
+        return self.internal[a] if a == b else g.wt[g.off[a] + row.index(b)] if b in row else 0
 
     def edge_fraction(self, a: int, b: int) -> Fraction:
         """Fraction of the total edge mass in the rectangle a x b."""
@@ -92,10 +94,10 @@ class CommunityAggregates:
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Adjacent block pairs as (a, b, crossing weight), a < b, sorted."""
-        for a, row in enumerate(self.rows):
-            for b in sorted(row):
+        for a, row in enumerate(self.coarse.rows()):
+            for b, w in sorted(row):
                 if b > a:
-                    yield a, b, row[b]
+                    yield a, b, w
 
     def resolution(self) -> Fraction:
         """Largest ratio observed/expected over distinct adjacent pairs.

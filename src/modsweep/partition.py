@@ -69,7 +69,7 @@ def _fields(source) -> Iterator[tuple[int, str, list[str]]]:
     lines = source.splitlines() if isinstance(source, str) else (
         piece for line in source for piece in line.splitlines() or [line])
     for lineno, raw in enumerate(lines, 1):
-        parts = raw.split("#", 1)[0].split()
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if parts:
             yield lineno, raw, parts
 

@@ -88,6 +88,7 @@ def random_partition(rng: random.Random, n: int, k: int | None = None) -> Partit
 def brute_force_min_cut(graph: Graph) -> tuple[int, set[int]]:
     """Minimum one-orientation crossing weight over all 2**(n-1) - 1 cuts."""
     n = graph.n
+    adj = graph.adj  # rebuilt on each access, so read once
     best = None
     best_side: set[int] = set()
     # every cut appears once as the side avoiding vertex n-1
@@ -95,7 +96,7 @@ def brute_force_min_cut(graph: Graph) -> tuple[int, set[int]]:
         side = {v for v in range(n - 1) if mask >> v & 1}
         cut = 0
         for u in side:
-            for v, w in graph.adj[u].items():
+            for v, w in adj[u].items():
                 if v not in side and v != u:
                     cut += w
         if best is None or cut < best:

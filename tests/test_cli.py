@@ -413,6 +413,18 @@ def test_one_graph_builder():
     assert _call_sites("Graph") == set()
 
 
+def test_no_module_reads_the_adj_view():
+    """A graph is held in flat arrays; ``Graph.adj`` rebuilds one dict per
+    vertex on each access, for callers outside the package.  No module in
+    ``src/`` reads it, so nothing inside the program falls back to
+    per-vertex dicts."""
+    src = Path(__file__).resolve().parents[1] / "src" / "modsweep"
+    readers = {f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "adj"}
+    assert readers == set()
+
+
 def test_one_aggregate_builder():
     """Block aggregates are built only by ``CommunityAggregates.from_partition``,
     which calls ``cls``; no function hands the class a quotient of its own."""

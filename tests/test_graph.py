@@ -3,6 +3,7 @@
 import io
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -173,15 +174,16 @@ def assert_well_formed(g: Graph) -> None:
     """Every row is nonempty, keyed by in-range ints and weighted by
     positive ints; rows are symmetric, diagonals even (a loop line stores
     twice its weight), and ``deg`` and ``z`` are the row sums."""
-    assert g.n == len(g.adj) >= 1
-    for u, row in enumerate(g.adj):
+    adj = g.adj  # rebuilt on each access, so read once
+    assert g.n == len(adj) >= 1
+    for u, row in enumerate(adj):
         assert type(row) is dict and row, u
         for v, w in row.items():
             assert type(v) is int and 0 <= v < g.n, (u, v)
             assert type(w) is int and w > 0, (u, v, w)
-            assert g.adj[v].get(u) == w, (u, v)
+            assert adj[v].get(u) == w, (u, v)
         assert row.get(u, 0) % 2 == 0, u
-    assert g.deg == [sum(row.values()) for row in g.adj]
+    assert g.deg == [sum(row.values()) for row in adj]
     assert g.z == sum(g.deg)
 
 
@@ -250,6 +252,83 @@ class TestTrustedBuild:
             assert relabelled_rows(back, labels) == q.adj
 
 
+def dict_rows(triples) -> list[dict[int, int]]:
+    """One dict per vertex, filled triple by triple: the per-vertex build
+    the flat arrays replaced, kept here as the reference."""
+    rows: list[dict[int, int]] = [{} for _ in range(1 + max(max(u, v) for u, v, _ in triples))]
+    for u, v, w in triples:
+        if u == v:
+            rows[u][u] = rows[u].get(u, 0) + 2 * w
+        else:
+            rows[u][v] = rows[u].get(v, 0) + w
+            rows[v][u] = rows[v].get(u, 0) + w
+    return rows
+
+
+def loop_first(rows: list[dict[int, int]]) -> list[list[tuple[int, int]]]:
+    """Each row's items with the diagonal moved to the front, the order the
+    ``adj`` view and ``edges`` read a row in."""
+    return [([(u, row[u])] if u in row else []) + [(v, w) for v, w in row.items() if v != u]
+            for u, row in enumerate(rows)]
+
+
+class TestArrayBuild:
+    def test_sparse_ids_rejected_before_any_row_exists(self):
+        """A vertex no triple names is found from the named ids, so a lone
+        far vertex costs no row per vertex below it."""
+        for far in (10**6, 2**70):
+            tracemalloc.start()
+            try:
+                with pytest.raises(IsolatedVertexError, match="^vertex 1 has zero total degree$"):
+                    Graph.from_edge_list([(0, far, 1)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+    def test_builder_matches_the_dict_reference(self):
+        """Seeded triples with duplicates, loops and weights up to 2**70 and
+        10**30: the ``adj`` view (row order included), ``deg``, ``z``,
+        ``edges`` and ``format_edge_list`` equal those of per-vertex dicts;
+        quotients equal the reference block sums, row order included; and
+        ``min_cut`` equals the brute-force cut."""
+        rng = random.Random(26)
+        for _ in range(150):
+            n = rng.randint(1, 11)
+            triples = [(v, (v + 1) % n, 1) for v in range(n)]  # a ring keeps it connected
+            for _ in range(rng.randint(0, 3 * n)):
+                if rng.random() < 0.2:
+                    triples.append(rng.choice(triples))
+                    continue
+                u = rng.randrange(n)
+                v = u if rng.random() < 0.15 else rng.randrange(n)
+                triples.append((u, v, rng.choice(
+                    (1, rng.randint(1, 9), rng.randint(1, 2**70), rng.randint(1, 10**30)))))
+            rng.shuffle(triples)
+            g, ref = Graph.from_edge_list(triples), dict_rows(triples)
+            view = g.adj
+            assert view == ref
+            assert [list(row.items()) for row in view] == loop_first(ref)
+            assert (g.deg, g.z) == ([sum(row.values()) for row in ref], sum(map(sum, map(dict.values, ref))))
+            edges = [(u, v, w) for u, row in enumerate(loop_first(ref)) for v, w in row if v >= u]
+            assert list(g.edges()) == edges
+            assert format_edge_list(g) == "".join(
+                f"{u} {v}\n" if w == 1 + (u == v) else f"{u} {v} {w // (1 + (u == v))}\n"
+                for u, v, w in edges)
+            for _ in range(3):
+                p = random_partition(rng, n)
+                blocks: list[dict[int, int]] = [{} for _ in range(len(p))]
+                for u, row in enumerate(ref):
+                    for v, w in row.items():
+                        a, b = p.assign[u], p.assign[v]
+                        blocks[a][b] = blocks[a].get(b, 0) + w
+                q = quotient(g, p)
+                assert [list(row.items()) for row in q.adj] == loop_first(blocks)
+                assert (q.deg, q.z) == ([sum(row.values()) for row in blocks], g.z)
+            if n > 1:
+                assert min_cut(g) == brute_force_min_cut(g)[0]
+
+
 class TestQuotient:
     def test_identity_on_singletons(self, barbell):
         q = quotient(barbell, singleton_partition(barbell))
@@ -286,9 +365,10 @@ class TestQuotient:
             for u, nbrs in enumerate(g.adj):
                 for v, w in nbrs.items():
                     block[p.assign[u]][p.assign[v]] += w
+            rows = q.adj
             for a in range(len(p)):
-                assert [q.adj[a].get(b, 0) for b in range(len(p))] == block[a]
-                assert 0 not in q.adj[a].values()
+                assert [rows[a].get(b, 0) for b in range(len(p))] == block[a]
+                assert 0 not in rows[a].values()
 
     def test_certificate_and_contraction_read_the_quotient(self):
         """A partition's certificate is its quotient's singleton one, witness
@@ -409,7 +489,8 @@ class TestMinCut:
             want, side = brute_force_min_cut(g)
             assert got == want == stoer_wagner_min_cut(g)
             # the ordered-pair mass across the optimal cut is twice the cut
-            mass = sum(w for u in side for v, w in g.adj[u].items() if v not in side)
+            adj = g.adj
+            mass = sum(w for u in side for v, w in adj[u].items() if v not in side)
             assert mass == want
 
     def test_matches_reference_on_larger_graphs(self, quotient_sizes):
