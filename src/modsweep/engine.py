@@ -126,10 +126,10 @@ class SweepEngine:
     from ``CommunityAggregates`` on ``partition()``.  ``_rows[slot]`` is
     its candidate row, a heap of ``(integer key of w/d_low, partner id,
     partner slot, d_low, w)``, or None before its first pair is filed (see
-    the module docstring).  Until a merge first writes it, ``_adj[slot]``
-    is None and the row is read from the input ``graph``'s arrays, which
-    the sweep never writes; ``check_stable`` reads them to certify.  Init
-    files each partner under the engine's own id int, not the array's copy.
+    the module docstring).  ``_adj[slot]`` is None until the first merge
+    that touches the slot; ``_own`` then builds it from the input arrays,
+    keyed by the ints of ``_slots``.  A stale entry of a row still None has
+    lapsed.  The sweep never writes its input; ``check_stable`` reads it.
 
     Counters, all plain ints: ``merges``; ``max_group``, the most merges in
     one ``resolution_sweep``; ``heap_pushes``, entries pushed one at a time
@@ -146,8 +146,8 @@ class SweepEngine:
         self._adj: list[dict[int, int] | None] = [None] * n
         self.w_internal = sum(graph.loop)
         deg = self.deg = list(graph.deg)
-        ids = list(range(n))
-        self._pid = ids
+        ids = self._slots = list(range(n))
+        self._pid = ids[:]
         # merge forest: an absorbed id links to its absorber, a smaller id
         self._parent = ids[:]
         self.deg_sq = sum(d * d for d in deg)
@@ -162,7 +162,7 @@ class SweepEngine:
         heap = []
         owned = []
         key = cache(_key)  # equal keys share one int
-        for u, (du, row) in enumerate(zip(deg, graph.rows())):
+        for u, du, row in zip(ids, deg, graph.rows()):
             for v, w in row:
                 dv = deg[v]
                 if dv < du or (dv == du and v < u):
@@ -302,11 +302,11 @@ class SweepEngine:
         self.heap_pushes += 1
 
     def _own(self, s: int) -> dict[int, int]:
-        """Build slot s's row from the input arrays before its first write."""
+        """Build slot s's row from the input arrays, keyed by the slot ints."""
         row = self._adj[s] = {}
-        off, nbr, wt = self.graph.off, self.graph.nbr, self.graph.wt
+        off, nbr, wt, ids = self.graph.off, self.graph.nbr, self.graph.wt, self._slots
         for j in range(off[s], off[s + 1]):
-            row[nbr[j]] = wt[j]
+            row[ids[nbr[j]]] = wt[j]
         return row
 
     def _merge(self, a: int, b: int, o: int) -> None:
@@ -333,18 +333,15 @@ class SweepEngine:
             sa, sb = sp, o
         da = deg[a]
         db = deg[b]
-        off = self.graph.off
-        row_a, row_b = adj[sa], adj[sb]
-        na = off[sa + 1] - off[sa] if row_a is None else len(row_a)
-        nb = off[sb + 1] - off[sb] if row_b is None else len(row_b)
-        if nb > na:
-            big, small, row_s, moved = sb, sa, row_a, na - 1
+        own = self._own
+        # a live row holds its merge partner, so it is nonempty once owned
+        row_a, row_b = adj[sa] or own(sa), adj[sb] or own(sb)
+        if len(row_b) > len(row_a):
+            big, small, row_l, row_s = sb, sa, row_b, row_a
             pid[sb] = a
         else:
-            big, small, row_s, moved = sa, sb, row_b, nb - 1
-        if row_s is None:  # a one-entry row holds only the merged pair
-            row_s = self._own(small) if moved else {}
-        row_l = adj[big] or self._own(big)  # holds the pair, so it is nonempty once owned
+            big, small, row_l, row_s = sa, sb, row_a, row_b
+        moved = len(row_s) - 1
         wab = row_l.pop(small)
         self.w_internal += 2 * wab
         self.deg_sq += 2 * da * db
@@ -360,7 +357,7 @@ class SweepEngine:
         for v, w in row_s.items():
             if v == big:  # the merged pair
                 continue
-            row_v = adj[v] or self._own(v)  # holds small, so it is nonempty once owned
+            row_v = adj[v] or own(v)  # holds small, so it is nonempty once owned
             del row_v[small]
             w += row_l.get(v, 0)
             row_l[v] = row_v[big] = w

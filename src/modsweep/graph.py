@@ -27,7 +27,7 @@ from .partition import Partition, _fields
 
 
 class Graph:
-    """Immutable weighted graph on vertices 0..n-1, in the module's flat arrays
+    """Read-only weighted graph on vertices 0..n-1, in the module's flat arrays
     with degrees ``deg`` and total ``z``.  No rows are accepted from outside:
     ``from_edge_list`` checks each triple, and ``quotient`` sums a checked graph."""
 

@@ -377,22 +377,27 @@ def test_verify_bytes_are_pinned_on_every_skip_branch(capsys, tmp_path, karate):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected_code, expected), name
 
 
-def _calls(node: ast.AST, name: str, scope: tuple[str, ...] = ()):
-    """Yield the dotted name of the definition around each call of the
-    function spelled ``name``, such as ``float`` or ``sys.stdout.write``."""
+def _scopes(node: ast.AST, match, scope: tuple[str, ...] = ()):
+    """Yield the dotted name of the definition around each node that
+    ``match`` accepts, such as ``SweepEngine._own``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _calls(child, name, scope + (child.name,))
+            yield from _scopes(child, match, scope + (child.name,))
             continue
-        if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
+        if match(child):
             yield ".".join(scope)
-        yield from _calls(child, name, scope)
+        yield from _scopes(child, match, scope)
 
 
 def _call_sites(*names: str) -> set[str]:
+    """Where a function spelled in ``names``, such as ``float`` or
+    ``sys.stdout.write``, is called, as ``module.py:definition``."""
+    def call(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) in names
+
     src = Path(__file__).resolve().parents[1] / "src" / "modsweep"
     return {f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
-            for name in names for scope in _calls(ast.parse(path.read_text()), name)}
+            for scope in _scopes(ast.parse(path.read_text()), call)}
 
 
 def test_only_text_output_rounds_to_float():
@@ -425,6 +430,17 @@ def test_no_module_reads_the_adj_view():
     assert readers == set()
 
 
+def test_only_own_reads_the_graph_arrays():
+    """The engine reads a graph's row arrays in one place: ``SweepEngine._own``
+    builds a slot's row from them at the first merge that touches the slot,
+    and every other step reads the rows the engine owns."""
+    def array_read(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("off", "nbr", "wt")
+
+    src = Path(__file__).resolve().parents[1] / "src" / "modsweep" / "engine.py"
+    assert set(_scopes(ast.parse(src.read_text()), array_read)) == {"SweepEngine._own"}
+
+
 def test_one_aggregate_builder():
     """Block aggregates are built only by ``CommunityAggregates.from_partition``,
     which calls ``cls``; no function hands the class a quotient of its own."""
@@ -445,7 +461,7 @@ def test_one_formula_per_block_probability():
     func = next(node for node in ast.walk(ast.parse(src.read_text()))
                 if isinstance(node, ast.FunctionDef) and node.name == "bounds_report")
     read = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
-    assert read & {"block_degree", "internal", "rows"} == set()
+    assert read & {"block_degree", "internal", "coarse"} == set()
 
 
 # Each module imports only modules earlier in this list.

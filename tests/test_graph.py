@@ -147,12 +147,14 @@ class TestGraphInvariants:
                 Graph.from_edge_list(empty)
 
     def test_trusted_build_rejects_isolated_and_empty(self):
-        """``from_edge_list`` skips the per-entry check but still rejects
-        isolated vertices and an empty vertex set, with the same messages.
-        Its vertices are 0..n-1 for the largest vertex named, so a vertex
-        below that which no triple names is isolated."""
-        with pytest.raises(IsolatedVertexError, match="^vertex 1 has zero total degree$"):
-            Graph.from_edge_list([(0, 2, 1)])
+        """``from_edge_list`` checks every triple, and rejects isolated
+        vertices and an empty vertex set.  Its vertices are 0..n-1 for the
+        largest vertex named, so a vertex below that which no triple names is
+        isolated.  A self-loop makes the cheap count of named vertices pass,
+        so the check on the filled degrees finds the gap."""
+        for edges in ([(0, 2, 1)], [(0, 2, 1), (0, 0, 1)], [(0, 2, 1), (2, 2, 1)]):
+            with pytest.raises(IsolatedVertexError, match="^vertex 1 has zero total degree$"):
+                Graph.from_edge_list(edges)
         with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
             Graph.from_edge_list([])
 
