@@ -238,47 +238,50 @@ def min_cut(graph: Graph) -> int:
     ``z * edge_fraction(S x complement) == 2 * min_cut``.  Self-loops are
     ignored.
 
-    Each pass is one maximum-adjacency scan (Nagamochi & Ibaraki 1992;
-    Henzinger, Noe, Schulz & Strash 2018).  ``best``, the least cut seen,
-    first drops to the least loop-free vertex degree.  An edge whose scan
-    value ``key[u]`` reaches ``best`` joins vertices no cut below ``best``
-    separates, so they are unioned.  The last vertex's key ends at its
-    loop-free degree, at least ``best``, so every pass unions a pair.  A
-    popped vertex with exactly two loop-free neighbours is unioned with the
-    heavier one (Padberg & Rinaldi 1990), the first on a tie: moving it to
-    that side never grows a cut, and a strictly lightest edge of a chain is
-    no vertex's heavier one, so a minimum cut below ``best`` survives.  So
-    a cycle takes one pass.  ``quotient`` contracts the unions.
-    DisconnectedError comes from the first scan.
+    Each pass is one scan (Nagamochi & Ibaraki 1992).  ``best``, the least cut
+    seen, first drops to the least loop-free vertex degree.  The scan takes
+    the largest key ``min(r, best)``, ``r`` a vertex's weight to the scanned
+    set A (Henzinger, Noe, Schulz & Strash 2018), then the least vertex: the
+    order of the heap's ints ``u - key * n``.  A key at ``best`` unions its
+    edge's ends, as the Stoer-Wagner induction holds on ``min(r, best)``: if a
+    cut C parts scanned v_i from unscanned y, each u_l that C parts from its
+    predecessor has, after the previous such u_j, min(w(A_{l-1}, u_l), best)
+    <= min(w(A_{j-1}, u_l), best) + w(A_{l-1} - A_{j-1}, u_l) <= w(C_j) +
+    w(A_{l-1} - A_{j-1}, u_l) <= w(C_l), so min(r_i(y), best) <= w(C).  The
+    last key ends at ``best``, so every pass unions a pair.  A popped vertex
+    with exactly two loop-free neighbours joins the heavier, the first on a
+    tie (Padberg & Rinaldi 1990): that side never grows a cut, and a strictly
+    lightest chain edge is no vertex's heavier one, so a minimum cut below
+    ``best`` survives, and a cycle takes one pass.  ``quotient`` contracts the
+    unions.  DisconnectedError comes from the first scan.
     """
     if graph.n < 2:
         raise ValueError("minimum cut needs at least two vertices")
     best = graph.z
     while graph.n > 1:
-        off, nbr, wt = graph.off, graph.nbr, graph.wt
+        n, off, nbr, wt = graph.n, graph.off, graph.nbr, graph.wt
         best = min(best, min(map(sub, graph.deg, graph.loop)))
-        ids = list(range(graph.n))  # heap entries share these ints, not one per read
-        parent = ids[:]
-        added = [False] * graph.n
-        key = [0] * graph.n
-        heap: list[tuple[int, int]] = [(0, 0)]
-        for _ in range(graph.n):
-            while heap and added[heap[0][1]]:
+        parent = list(range(n))
+        key = [0] * n  # best + 1 once scanned
+        heap = [0]
+        for _ in range(n):
+            while heap and key[heap[0] % n] > best:
                 heapq.heappop(heap)
             if not heap:
                 raise DisconnectedError("graph is not connected")
-            v = heapq.heappop(heap)[1]
-            added[v] = True
+            v = heapq.heappop(heap) % n
+            key[v] = best + 1
+            rv = _root(parent, v)
             a, b = off[v], off[v + 1]
             if b - a == 2:
                 u = nbr[a] if wt[a] >= wt[a + 1] else nbr[a + 1]
-                parent[_root(parent, u)] = _root(parent, v)
+                parent[_root(parent, u)] = rv
             for j in range(a, b):
-                u = ids[nbr[j]]
-                if not added[u]:
-                    key[u] += wt[j]
-                    heapq.heappush(heap, (-key[u], u))
-                    if key[u] >= best:
-                        parent[_root(parent, u)] = _root(parent, v)
-        graph = quotient(graph, Partition([_root(parent, v) for v in range(graph.n)]))
+                u = nbr[j]
+                if key[u] < best:
+                    key[u] = k = min(key[u] + wt[j], best)
+                    heapq.heappush(heap, u - k * n)
+                if key[u] == best:
+                    parent[_root(parent, u)] = rv
+        graph = quotient(graph, Partition([_root(parent, v) for v in range(n)]))
     return best

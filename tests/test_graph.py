@@ -1,10 +1,12 @@
 """Graph construction, loading, quotients, components, and minimum cuts."""
 
+import heapq
 import io
 import random
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +37,7 @@ from conftest import (
     brute_force_min_cut,
     random_graph,
     random_partition,
+    relabelled,
     stoer_wagner_min_cut,
     windmill_edges,
 )
@@ -461,6 +464,41 @@ def quotient_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def heap_pushes(monkeypatch):
+    """Each entry ``min_cut`` pushes on its scan heap, in push order."""
+    pushed: list = []
+
+    def counted(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(modsweep.graph, "heapq", SimpleNamespace(heappush=counted, heappop=heapq.heappop))
+    return pushed
+
+
+def cored_graph(rng: random.Random, n: int, max_w: int, shape: int) -> Graph:
+    """A dense core on n vertices (p = 0.5, weights 1..max_w, a path keeps it
+    connected) with, by ``shape``: 0, one to three unit pendant vertices; 1, a
+    second core of 3 to 8 vertices behind a unit bridge; 2, that core apart.
+    The vertices are relabelled at random, so the scan's ties fall anywhere."""
+    def core(lo: int, hi: int) -> list[tuple[int, int, int]]:
+        return ([(u, v, rng.randint(1, max_w)) for u in range(lo, hi)
+                 for v in range(u + 1, hi) if rng.random() < 0.5] +
+                [(u, u + 1, rng.randint(1, max_w)) for u in range(lo, hi - 1)])
+
+    edges = core(0, n)
+    if shape == 0:
+        edges += [(v, rng.randrange(n), 1) for v in range(n, n + rng.randint(1, 3))]
+    else:
+        m = rng.randint(3, 8)
+        edges += core(n, n + m) + ([(rng.randrange(n), n + rng.randrange(m), 1)] if shape == 1 else [])
+    size = 1 + max(max(u, v) for u, v, _ in edges)
+    label = list(range(size))
+    rng.shuffle(label)
+    return relabelled(edges, label)
+
+
 class TestMinCut:
     def test_barbell_bridge(self, barbell):
         assert min_cut(barbell) == 1
@@ -540,6 +578,35 @@ class TestMinCut:
         quotient_sizes.clear()
         assert min_cut(Graph.from_edge_list(rails + [(v, v + n, 1) for v in range(n)])) == 3
         assert len(quotient_sizes) <= 2
+
+    def test_keys_stop_at_the_bound(self, heap_pushes):
+        # K_n with a pendant on vertex 0: vertex 0's scan takes every key to
+        # the bound, so no later scan pushes (uncapped keys push
+        # n + (n-1)(n-2)/2 times, 436 at n = 30)
+        for n in (30, 60):
+            for clique_w, pendant_w in ((1, 1), (3, 2)):
+                heap_pushes.clear()
+                edges = [(u, v, clique_w) for u in range(n) for v in range(u + 1, n)]
+                assert min_cut(Graph.from_edge_list(edges + [(0, n, pendant_w)])) == pendant_w
+                assert len(heap_pushes) <= n
+
+    def test_capped_ties_match_reference(self, quotient_sizes):
+        # a dense core behind pendants or a light bridge holds best far below
+        # most keys, so many capped keys tie at best and the least id leads
+        rng = random.Random(47)
+        disconnected = 0
+        for i in range(108):
+            n = rng.randint(4, 9) if i % 4 == 0 else rng.randint(13, 40)
+            g = cored_graph(rng, n, (1, 5, 2**40)[i % 3], i // 3 % 3)
+            quotient_sizes.clear()
+            got, want = cut_or_error(min_cut, g), cut_or_error(stoer_wagner_min_cut, g)
+            assert got == want
+            if got == "graph is not connected":
+                disconnected += 1
+                assert quotient_sizes == []  # raised by the first scan
+            elif g.n <= 12:
+                assert got == brute_force_min_cut(g)[0]
+        assert disconnected == 36
 
     def test_chain_keeps_its_lightest_edges(self):
         # joining every edge with 2w >= the degree of an endpoint would
