@@ -175,15 +175,16 @@ def quotient(graph: Graph, partition: Partition) -> Graph:
     k = partition.k
     loop = [0] * k
     pairs: dict[int, int] = {}  # c * k + b, for blocks c < b, sorts as (c, b): weight
+    get = pairs.get
     for c, d, row in zip(assign, graph.loop, graph.rows()):
-        loop[c] += d
+        ck = c * k
         for v, w in row:
             b = assign[v]
             if b == c:
-                loop[c] += w
+                d += w
             elif c < b:  # a row of block b adds the same weight the other way
-                cb = c * k + b
-                pairs[cb] = pairs.get(cb, 0) + w
+                pairs[ck + b] = get(ck + b, 0) + w
+        loop[c] += d
     return Graph.__new__(Graph)._build(loop, [(divmod(cb, k), pairs[cb]) for cb in sorted(pairs)])
 
 
@@ -263,25 +264,26 @@ def min_cut(graph: Graph) -> int:
         best = min(best, min(map(sub, graph.deg, graph.loop)))
         parent = list(range(n))
         key = [0] * n  # best + 1 once scanned
-        heap = [0]
+        heap, push, pop = [0], heapq.heappush, heapq.heappop
         for _ in range(n):
             while heap and key[heap[0] % n] > best:
-                heapq.heappop(heap)
+                pop(heap)
             if not heap:
                 raise DisconnectedError("graph is not connected")
-            v = heapq.heappop(heap) % n
+            v = pop(heap) % n
             key[v] = best + 1
             rv = _root(parent, v)
             a, b = off[v], off[v + 1]
             if b - a == 2:
                 u = nbr[a] if wt[a] >= wt[a + 1] else nbr[a + 1]
                 parent[_root(parent, u)] = rv
-            for j in range(a, b):
-                u = nbr[j]
-                if key[u] < best:
-                    key[u] = k = min(key[u] + wt[j], best)
-                    heapq.heappush(heap, u - k * n)
-                if key[u] == best:
+            for u, w in zip(nbr[a:b], wt[a:b]):
+                k = key[u]
+                if k < best:
+                    k += w
+                    key[u] = k = k if k < best else best
+                    push(heap, u - k * n)
+                if k == best:
                     parent[_root(parent, u)] = rv
         graph = quotient(graph, Partition([_root(parent, v) for v in range(n)]))
     return best

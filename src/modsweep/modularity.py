@@ -230,6 +230,11 @@ class BoundsReport(NamedTuple):
         return "\n".join(lines)
 
 
+def _scaled(f: Fraction, den: int) -> int:
+    """The numerator of ``f`` over ``den``, a multiple of its denominator."""
+    return f.numerator * (den // f.denominator)
+
+
 def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     """Evaluate every applicable bound of the score at resolution t.
 
@@ -237,11 +242,16 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     the report: two rows need t <= 1, the stability floor a merge-stable
     partition, and the three cut-dependent rows a merge-stable partition
     with at least two blocks, the last two also a connected graph.  Every
-    row, the certificate too, reads one ``CommunityAggregates``' accessors.
+    row, the certificate too, reads one ``CommunityAggregates``' accessors,
+    each value once.  Per-block and per-pair flags compare integers: each
+    value is a numerator over one denominator, ``z`` (``z*z*td`` for mu, with
+    ``t = tn/td``), and each inequality is multiplied through by positive
+    factors only.  Printed sides are exact Fractions.
     """
     tf = positive_fraction(t)
     agg = CommunityAggregates.from_partition(graph, partition)
-    z, k = agg.z, agg.k
+    z, k, tn, td = agg.z, agg.k, tf.numerator, tf.denominator
+    zt = z * td
     checks: list[CheckRow] = []
 
     def row(name, passed=None, lhs=None, rhs=None, note="", skip=""):
@@ -255,29 +265,30 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
         bad = None if skip else next((x for x in items if not ok(x)), None)
         row(name, bad is None, note="" if bad is None else f"failed at {what} {bad}", skip=skip)
 
-    # block probabilities: degree and edge fractions, boundary and excess
-    m_v = [agg.degree_fraction(c) for c in range(k)]
-    m_e = [agg.edge_fraction(c, c) for c in range(k)]
-    rho = [agg.boundary_fraction(c) for c in range(k)]
-    mu = [agg.excess(c, c, tf) for c in range(k)]
-    diag_total = sum(m_e)
+    # block probabilities, each read once: numerators over z (mu over z * zt)
+    degree = [agg.degree_fraction(c) for c in range(k)]
+    m_v = [_scaled(f, z) for f in degree]
+    m_e = [_scaled(agg.edge_fraction(c, c), z) for c in range(k)]
+    rho = [_scaled(agg.boundary_fraction(c), z) for c in range(k)]
+    mu = [_scaled(agg.excess(c, c, tf), z * zt) for c in range(k)]
+    diag_total = Fraction(sum(m_e), z)
     q = agg.score(tf)
     t_skip = "" if tf <= 1 else "needs t <= 1"
 
     family("degree_split_identity", "community", range(k),
-           lambda c: m_v[c] == m_e[c] + rho[c] and m_e[c] + 2 * rho[c] <= 1)
+           lambda c: m_v[c] == m_e[c] + rho[c] and m_e[c] + 2 * rho[c] <= z)
     family("diag_excess_identity", "community", range(k),
-           lambda c: mu[c] == m_e[c] * (1 - tf * (m_e[c] + 2 * rho[c])) - tf * rho[c] ** 2)
+           lambda c: mu[c] == m_e[c] * (zt - tn * (m_e[c] + 2 * rho[c])) - tn * rho[c] ** 2)
     family("diag_upper_degree", "community", range(k),
-           lambda c: mu[c] <= m_e[c] * (1 - tf * m_v[c]))
+           lambda c: mu[c] <= m_e[c] * (zt - tn * m_v[c]))
     family("diag_upper_boundary", "community", range(k),
-           lambda c: mu[c] <= m_e[c] * (1 - 2 * tf * rho[c]))
+           lambda c: mu[c] <= m_e[c] * (zt - 2 * tn * rho[c]))
     family("diag_lower_boundary_sq", "community", range(k),
-           lambda c: mu[c] >= -tf * rho[c] ** 2, t_skip)
+           lambda c: mu[c] >= -tn * rho[c] ** 2, t_skip)
 
     upper_sum_sq = 1 - tf * agg.alpha()
     upper_fixed_k = 1 - tf / k
-    upper_boundary = diag_total * (1 - 2 * tf * min(rho))
+    upper_boundary = diag_total * (1 - 2 * tf * Fraction(min(rho), z))
     lower_offdiag = (-tf / 2) * (1 - diag_total)
     row("q_upper_sum_sq", q <= upper_sum_sq, q, upper_sum_sq)
     row("q_upper_fixed_k", q <= upper_fixed_k, q, upper_fixed_k)
@@ -292,7 +303,7 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
 
     cut_skip = "" if stable and k >= 2 else "needs a merge-stable partition with >= 2 blocks"
     family("pair_union_degree_bound", "pair", ((a, b) for a, b, _ in agg.pairs()),
-           lambda p: (m_v[p[0]] + m_v[p[1]]) ** 2 >= 4 * agg.edge_fraction(*p) / tf,
+           lambda p: tn * (m_v[p[0]] + m_v[p[1]]) ** 2 >= 4 * zt * _scaled(agg.edge_fraction(*p), z),
            cut_skip)
     scaling: list[ScalingCheck] = []
     mc = max_blocks = count_ok = None
@@ -303,9 +314,10 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
             cut_skip = "graph is not connected"
     if not cut_skip:
         ratio = Fraction(mc, tf * z)
-        cap = Fraction(1, 4) - ratio
-        scaling = [ScalingCheck(c, v, ratio, 1 - ratio,
-                                ratio < v < 1 - ratio and (v - Fraction(1, 2)) ** 2 <= cap)
+        cap, upper = Fraction(1, 4) - ratio, 1 - ratio
+        lo, hi, room = mc * td, tn * z - mc * td, z * (tn * z - 4 * mc * td)
+        scaling = [ScalingCheck(c, degree[c], ratio, upper,
+                                lo < tn * v < hi and tn * (2 * v - z) ** 2 <= room)
                    for c, v in enumerate(m_v)]
         max_blocks = tf * z / mc
         count_ok = k < max_blocks and (Fraction(1, k) - Fraction(1, 2)) ** 2 <= cap

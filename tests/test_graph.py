@@ -5,6 +5,7 @@ import io
 import random
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -465,16 +466,20 @@ def quotient_sizes(monkeypatch):
 
 
 @pytest.fixture
-def heap_pushes(monkeypatch):
-    """Each entry ``min_cut`` pushes on its scan heap, in push order."""
-    pushed: list = []
+def heap_work(monkeypatch):
+    """How many times ``min_cut`` pushes to and pops from its scan heap."""
+    work = Counter()
 
-    def counted(heap, item):
-        pushed.append(item)
+    def pushed(heap, item):
+        work["push"] += 1
         heapq.heappush(heap, item)
 
-    monkeypatch.setattr(modsweep.graph, "heapq", SimpleNamespace(heappush=counted, heappop=heapq.heappop))
-    return pushed
+    def popped(heap):
+        work["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(modsweep.graph, "heapq", SimpleNamespace(heappush=pushed, heappop=popped))
+    return work
 
 
 def cored_graph(rng: random.Random, n: int, max_w: int, shape: int) -> Graph:
@@ -579,16 +584,16 @@ class TestMinCut:
         assert min_cut(Graph.from_edge_list(rails + [(v, v + n, 1) for v in range(n)])) == 3
         assert len(quotient_sizes) <= 2
 
-    def test_keys_stop_at_the_bound(self, heap_pushes):
+    def test_keys_stop_at_the_bound(self, heap_work):
         # K_n with a pendant on vertex 0: vertex 0's scan takes every key to
         # the bound, so no later scan pushes (uncapped keys push
         # n + (n-1)(n-2)/2 times, 436 at n = 30)
         for n in (30, 60):
             for clique_w, pendant_w in ((1, 1), (3, 2)):
-                heap_pushes.clear()
+                heap_work.clear()
                 edges = [(u, v, clique_w) for u in range(n) for v in range(u + 1, n)]
                 assert min_cut(Graph.from_edge_list(edges + [(0, n, pendant_w)])) == pendant_w
-                assert len(heap_pushes) <= n
+                assert heap_work["push"] <= n
 
     def test_capped_ties_match_reference(self, quotient_sizes):
         # a dense core behind pendants or a light bridge holds best far below
@@ -607,6 +612,30 @@ class TestMinCut:
             elif g.n <= 12:
                 assert got == brute_force_min_cut(g)[0]
         assert disconnected == 36
+
+    def test_scan_work_is_pinned(self, quotient_sizes, heap_work):
+        """The passes, heap pushes and heap pops of ``min_cut`` on seeded
+        graphs, pinned as counted before its scan read each row as one zip
+        of slices and clamped keys without ``min``: the loop does the same
+        heap work, disconnected graphs included."""
+        rng = random.Random(89)
+        work = []
+        for i in range(12):
+            max_w = (1, 5, 2**40)[i % 3]
+            if i % 2:
+                g = cored_graph(rng, rng.randint(13, 40), max_w, i // 2 % 3)
+            else:
+                g = random_graph(rng, rng.randint(13, 40), p=rng.choice((0.15, 0.5)), max_w=max_w,
+                                 connected=True)
+            quotient_sizes.clear()
+            heap_work.clear()
+            assert cut_or_error(min_cut, g) == cut_or_error(stoer_wagner_min_cut, g)
+            work.append((quotient_sizes[:], heap_work["push"], heap_work["pop"]))
+        assert work == [
+            ([2, 1], 26, 17), ([1], 37, 38), ([16, 2, 1], 299, 51), ([8, 3, 1], 138, 103),
+            ([3, 1], 58, 19), ([], 40, 41), ([2, 1], 45, 26), ([1], 31, 32),
+            ([20, 2, 1], 396, 57), ([2, 1], 58, 35), ([1], 27, 22), ([], 7, 8),
+        ]
 
     def test_chain_keeps_its_lightest_edges(self):
         # joining every edge with 2w >= the degree of an endpoint would

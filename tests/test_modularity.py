@@ -10,6 +10,7 @@ import pytest
 
 from modsweep import (
     CommunityAggregates,
+    DisconnectedError,
     Graph,
     Partition,
     best_partition,
@@ -20,6 +21,7 @@ from modsweep import (
     is_coarsening_optimal,
     is_merge_stable,
     merge_gain,
+    min_cut,
     modularity,
     modularity_complement,
     resolution,
@@ -481,6 +483,64 @@ class TestResolution:
             assert resolution(g, p) <= resolution(g, singleton_partition(g))
 
 
+def reference_rows(graph: Graph, partition: Partition, t):
+    """The report's ``(name, passed, note)`` rows and scaling flags, by the
+    bound families' ``Fraction`` formulas, reading the block probabilities
+    through the same ``CommunityAggregates`` accessors as ``bounds_report``."""
+    tf = Fraction(t)
+    agg = CommunityAggregates.from_partition(graph, partition)
+    z, k = agg.z, agg.k
+    rows = []
+
+    def row(name, passed, note="", skip=""):
+        rows.append((name, None, skip) if skip else (name, passed, note))
+
+    def family(name, what, items, ok, skip=""):
+        bad = None if skip else next((x for x in items if not ok(x)), None)
+        row(name, bad is None, "" if bad is None else f"failed at {what} {bad}", skip)
+
+    m_v = [agg.degree_fraction(c) for c in range(k)]
+    m_e = [agg.edge_fraction(c, c) for c in range(k)]
+    rho = [agg.boundary_fraction(c) for c in range(k)]
+    mu = [agg.excess(c, c, tf) for c in range(k)]
+    diag_total, q = sum(m_e), agg.score(tf)
+    t_skip = "" if tf <= 1 else "needs t <= 1"
+    family("degree_split_identity", "community", range(k),
+           lambda c: m_v[c] == m_e[c] + rho[c] and m_e[c] + 2 * rho[c] <= 1)
+    family("diag_excess_identity", "community", range(k),
+           lambda c: mu[c] == m_e[c] * (1 - tf * (m_e[c] + 2 * rho[c])) - tf * rho[c] ** 2)
+    family("diag_upper_degree", "community", range(k),
+           lambda c: mu[c] <= m_e[c] * (1 - tf * m_v[c]))
+    family("diag_upper_boundary", "community", range(k),
+           lambda c: mu[c] <= m_e[c] * (1 - 2 * tf * rho[c]))
+    family("diag_lower_boundary_sq", "community", range(k),
+           lambda c: mu[c] >= -tf * rho[c] ** 2, t_skip)
+    row("q_upper_sum_sq", q <= 1 - tf * agg.alpha())
+    row("q_upper_fixed_k", q <= 1 - tf / k)
+    row("q_upper_boundary_factor", q <= diag_total * (1 - 2 * tf * min(rho)))
+    row("q_lower_offdiag", q >= (-tf / 2) * (1 - diag_total), skip=t_skip)
+    stable, witness = is_merge_stable(graph, partition, tf)
+    row("merge_stable", stable, "" if stable else f"witness pair {witness}")
+    row("q_stability_floor", q >= 1 - tf, skip="" if stable else "needs a merge-stable partition")
+    cut_skip = "" if stable and k >= 2 else "needs a merge-stable partition with >= 2 blocks"
+    family("pair_union_degree_bound", "pair", ((a, b) for a, b, _ in agg.pairs()),
+           lambda p: (m_v[p[0]] + m_v[p[1]]) ** 2 >= 4 * agg.edge_fraction(*p) / tf, cut_skip)
+    scaling = []
+    if not cut_skip:
+        try:
+            mc = min_cut(graph)
+        except DisconnectedError:
+            cut_skip = "graph is not connected"
+    if not cut_skip:
+        ratio = Fraction(mc, tf * z)
+        cap = Fraction(1, 4) - ratio
+        scaling = [ratio < v < 1 - ratio and (v - Fraction(1, 2)) ** 2 <= cap for v in m_v]
+        count_ok = k < tf * z / mc and (Fraction(1, k) - Fraction(1, 2)) ** 2 <= cap
+    row("cut_window", all(scaling), skip=cut_skip)
+    row("block_count_bound", None if cut_skip else count_ok, skip=cut_skip)
+    return rows, scaling
+
+
 class TestBoundsReport:
     def test_barbell_report(self, barbell):
         rep = bounds_report(barbell, Partition([0, 0, 0, 1, 1, 1]), 1)
@@ -565,6 +625,79 @@ class TestBoundsReport:
                 assert row.note == ("" if stable else f"witness pair {witness}")
                 unstable += not stable
         assert 0 < unstable < 600
+
+    def test_integer_flags_match_the_fraction_reference(self, monkeypatch):
+        """Every family's integer flags equal the ``Fraction`` formulas' on
+        seeded graphs with loops and weights up to 2**40, stable and unstable
+        partitions, and t below, at and above 1; so that the families fail,
+        one block's or one pair's accessor value is moved by +-1/z, and each
+        family must then fail at the same witness as the reference."""
+        rng = random.Random(83)
+        failed: set[str] = set()
+        for i in range(60):
+            g = random_graph(rng, rng.randint(2, 10), max_w=(1, 5, 2**40)[i % 3],
+                             connected=i % 4 != 0)
+            p = detect_communities(g, 1)[0] if i % 2 else random_partition(rng, g.n)
+            r = resolution(g, p)
+            agg = CommunityAggregates.from_partition(g, p)
+            pairs = [(a, b) for a, b, _ in agg.pairs()]
+            c = rng.randrange(agg.k)
+            targets = [("degree_fraction", (c,)), ("edge_fraction", (c, c)),
+                       ("boundary_fraction", (c,)), ("excess", (c, c))]
+            if pairs:
+                targets.append(("edge_fraction", rng.choice(pairs)))
+            moves = [(None, None, 0)] + [(name, at, s) for name, at in targets for s in (1, -1)]
+            for t in sorted({r or Fraction(1, 2), Fraction(1, 3), 1, Fraction(5, 2)}):
+                for name, at, sign in moves:
+                    with monkeypatch.context() as m:
+                        if name:
+                            real = getattr(CommunityAggregates, name)
+
+                            def moved(self, *args, real=real, at=at, sign=sign):
+                                value = real(self, *args)
+                                return value + Fraction(sign, self.z) if args[:len(at)] == at else value
+
+                            m.setattr(CommunityAggregates, name, moved)
+                        rep = bounds_report(g, p, t)
+                        want = reference_rows(g, p, t)
+                    got = ([(row.name, row.passed, row.note) for row in rep.checks],
+                           [sc.passed for sc in rep.scaling])
+                    assert got == want, (i, t, name, at, sign)
+                    failed |= {row.name for row in rep.checks if row.passed is False}
+        assert failed >= {"degree_split_identity", "diag_excess_identity", "diag_upper_degree",
+                          "diag_upper_boundary", "diag_lower_boundary_sq", "pair_union_degree_bound",
+                          "q_upper_boundary_factor", "merge_stable", "cut_window"}, failed
+
+    def test_fraction_work_per_block_and_pair(self, monkeypatch):
+        """On a windmill's detected partition, ``bounds_report`` makes at
+        most 5 ``Fraction``s per block plus adjacent pair: it reads each
+        accessor once and compares integers.  It makes 4.5 to 4.6 at 250 to
+        2,000 blades, so the margin is 10 %; evaluating every family in
+        ``Fraction`` arithmetic made about 20."""
+        made = [0]
+        real_new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made[0] += 1
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results, Python 3.12 on
+            real_int = Fraction._from_coprime_ints.__func__
+
+            def counted_ints(cls, *args):
+                made[0] += 1
+                return real_int(cls, *args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_ints))
+        for blades in (250, 500, 1000, 2000):
+            g = Graph.from_edge_list(windmill_edges(blades))
+            part = detect_communities(g)[0]
+            agg = CommunityAggregates.from_partition(g, part)
+            units = agg.k + sum(1 for _ in agg.pairs())
+            made[0] = 0
+            assert bounds_report(g, part).all_pass
+            assert made[0] <= 5 * units, (blades, made[0], units)
 
     def test_render_contains_verdict_rows(self, barbell):
         text = bounds_report(barbell, Partition([0, 0, 0, 1, 1, 1]), 1).render()
