@@ -234,10 +234,9 @@ def min_cut(graph: Graph) -> int:
     """Global minimum cut weight of a connected graph (CAPFOREST contraction).
 
     Returns the minimum over nonempty proper subsets S of the one-orientation
-    crossing weight ``sum(m(u, v) for u in S, v not in S)``.  Under the
-    ordered-pair total this crossing mass is counted twice, so
-    ``z * edge_fraction(S x complement) == 2 * min_cut``.  Self-loops are
-    ignored.
+    crossing weight ``sum(m(u, v) for u in S, v not in S)``: the
+    ``CommunityAggregates.boundary`` of S as a block, which the ordered-pair
+    total ``z`` counts twice.  Self-loops are ignored.
 
     Each pass is one scan (Nagamochi & Ibaraki 1992).  ``best``, the least cut
     seen, first drops to the least loop-free vertex degree.  The scan takes

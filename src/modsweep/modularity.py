@@ -14,7 +14,7 @@ resolution ``t`` when no distinct pair of blocks has positive excess mass,
 which is exactly the condition that no coarsening of the partition scores
 higher.  ``bounds_report`` evaluates every general inequality the score
 satisfies, exactly, and is the backend of the ``verify`` CLI command.
-Every quantity is an exact ``Fraction`` or integer.
+Every quantity is exact; a ``Fraction`` is made only for a value returned.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ class CommunityAggregates:
 
     Read from the partition's quotient graph ``coarse``: ``k`` is its
     vertex count, ``block_degree`` its degrees, ``internal`` its diagonals
-    and ``z`` its total.  Every score, certificate and bound below reads
-    one of these or the quotient's rows, which are in block order.  The
+    and ``z`` its total; its rows are in block order.  The paper's block
+    probabilities m_v, m_e, rho and mu are integer accessors: ``degree``,
+    ``cross_weight`` (on the diagonal) and ``boundary`` over ``z``, and
+    ``excess_numerator`` (on the diagonal) over ``z*z*td``.
+    ``degree_fraction`` and ``excess`` are ``Fraction`` views of them.  The
     brute-force oracles sum their own, so tests can compare against them.
     """
 
@@ -54,7 +57,7 @@ class CommunityAggregates:
             raise ValueError(f"unknown community id {c!r}")
 
     def cross_weight(self, a: int, b: int) -> int:
-        """Integer one-orientation crossing weight between two blocks; row ``a`` is bisected."""
+        """One-orientation crossing weight w(a, b), w(C) if a == b; row ``a`` is bisected."""
         self._check(a)
         self._check(b)
         if a == b:
@@ -63,29 +66,29 @@ class CommunityAggregates:
         j = bisect_left(g.nbr, b, g.off[a], end)
         return g.wt[j] if j < end and g.nbr[j] == b else 0
 
-    def edge_fraction(self, a: int, b: int) -> Fraction:
-        """Fraction of the total edge mass in the rectangle a x b."""
-        return Fraction(self.cross_weight(a, b), self.z)
+    def degree(self, c: int) -> int:
+        """Block degree d(C); over ``z`` it is m_v."""
+        self._check(c)
+        return self.block_degree[c]
 
-    def expected_fraction(self, a: int, b: int) -> Fraction:
-        """Null-model mass of the rectangle a x b: d(a)*d(b)/z**2."""
-        self._check(a)
-        self._check(b)
-        return Fraction(self.block_degree[a] * self.block_degree[b], self.z * self.z)
+    def boundary(self, c: int) -> int:
+        """Weight leaving block c, d(C) - w(C); over ``z`` it is rho."""
+        self._check(c)
+        return self.block_degree[c] - self.internal[c]
+
+    def excess_numerator(self, a: int, b: int, tn: int, td: int) -> int:
+        """Excess of a x b at t = tn/td, over z*z*td: w(a, b)*z*td - tn*d(a)*d(b)."""
+        d = self.block_degree
+        return self.cross_weight(a, b) * self.z * td - tn * d[a] * d[b]
+
+    def degree_fraction(self, c: int) -> Fraction:
+        return Fraction(self.degree(c), self.z)
 
     def excess(self, a: int, b: int, t) -> Fraction:
         """Observed minus t times expected mass; signed and exact."""
         tf = positive_fraction(t)
-        return self.edge_fraction(a, b) - tf * self.expected_fraction(a, b)
-
-    def boundary_fraction(self, c: int) -> Fraction:
-        """Edge mass leaving block c: (d(C) - w(C)) / z."""
-        self._check(c)
-        return Fraction(self.block_degree[c] - self.internal[c], self.z)
-
-    def degree_fraction(self, c: int) -> Fraction:
-        self._check(c)
-        return Fraction(self.block_degree[c], self.z)
+        return Fraction(self.excess_numerator(a, b, tf.numerator, tf.denominator),
+                        self.z * self.z * tf.denominator)
 
     def alpha(self) -> Fraction:
         """Null-model mass on the diagonal: sum(d(C)**2) / z**2."""
@@ -230,11 +233,6 @@ class BoundsReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _scaled(f: Fraction, den: int) -> int:
-    """The numerator of ``f`` over ``den``, a multiple of its denominator."""
-    return f.numerator * (den // f.denominator)
-
-
 def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     """Evaluate every applicable bound of the score at resolution t.
 
@@ -242,8 +240,9 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     the report: two rows need t <= 1, the stability floor a merge-stable
     partition, and the three cut-dependent rows a merge-stable partition
     with at least two blocks, the last two also a connected graph.  Every
-    row, the certificate too, reads one ``CommunityAggregates``' accessors,
-    each value once.  Per-block and per-pair flags compare integers: each
+    row, the certificate too, reads one ``CommunityAggregates``: its integer
+    accessors once per block, and each adjacent pair's weight from one
+    ``pairs`` walk.  Per-block and per-pair flags compare integers: each
     value is a numerator over one denominator, ``z`` (``z*z*td`` for mu, with
     ``t = tn/td``), and each inequality is multiplied through by positive
     factors only.  Printed sides are exact Fractions.
@@ -260,31 +259,31 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
             passed, lhs, rhs, note = None, None, None, skip
         checks.append(CheckRow(name, passed, lhs, rhs, note))
 
-    def family(name, what, items, ok, skip=""):
-        """One row for an inequality family, failing at the first item not ``ok``."""
-        bad = None if skip else next((x for x in items if not ok(x)), None)
+    def family(name, what, failed, skip=""):
+        """One row for an inequality family, failing at the first item ``failed`` yields."""
+        bad = None if skip else next(failed, None)
         row(name, bad is None, note="" if bad is None else f"failed at {what} {bad}", skip=skip)
 
     # block probabilities, each read once: numerators over z (mu over z * zt)
-    degree = [agg.degree_fraction(c) for c in range(k)]
-    m_v = [_scaled(f, z) for f in degree]
-    m_e = [_scaled(agg.edge_fraction(c, c), z) for c in range(k)]
-    rho = [_scaled(agg.boundary_fraction(c), z) for c in range(k)]
-    mu = [_scaled(agg.excess(c, c, tf), z * zt) for c in range(k)]
+    m_v = [agg.degree(c) for c in range(k)]
+    m_e = [agg.cross_weight(c, c) for c in range(k)]
+    rho = [agg.boundary(c) for c in range(k)]
+    mu = [agg.excess_numerator(c, c, tn, td) for c in range(k)]
     diag_total = Fraction(sum(m_e), z)
     q = agg.score(tf)
     t_skip = "" if tf <= 1 else "needs t <= 1"
 
-    family("degree_split_identity", "community", range(k),
-           lambda c: m_v[c] == m_e[c] + rho[c] and m_e[c] + 2 * rho[c] <= z)
-    family("diag_excess_identity", "community", range(k),
-           lambda c: mu[c] == m_e[c] * (zt - tn * (m_e[c] + 2 * rho[c])) - tn * rho[c] ** 2)
-    family("diag_upper_degree", "community", range(k),
-           lambda c: mu[c] <= m_e[c] * (zt - tn * m_v[c]))
-    family("diag_upper_boundary", "community", range(k),
-           lambda c: mu[c] <= m_e[c] * (zt - 2 * tn * rho[c]))
-    family("diag_lower_boundary_sq", "community", range(k),
-           lambda c: mu[c] >= -tn * rho[c] ** 2, t_skip)
+    family("degree_split_identity", "community",
+           (c for c in range(k) if m_v[c] != m_e[c] + rho[c] or m_e[c] + 2 * rho[c] > z))
+    family("diag_excess_identity", "community",
+           (c for c in range(k)
+            if mu[c] != m_e[c] * (zt - tn * (m_e[c] + 2 * rho[c])) - tn * rho[c] ** 2))
+    family("diag_upper_degree", "community",
+           (c for c in range(k) if mu[c] > m_e[c] * (zt - tn * m_v[c])))
+    family("diag_upper_boundary", "community",
+           (c for c in range(k) if mu[c] > m_e[c] * (zt - 2 * tn * rho[c])))
+    family("diag_lower_boundary_sq", "community",
+           (c for c in range(k) if mu[c] < -tn * rho[c] ** 2), t_skip)
 
     upper_sum_sq = 1 - tf * agg.alpha()
     upper_fixed_k = 1 - tf / k
@@ -302,8 +301,8 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
         skip="" if stable else "needs a merge-stable partition")
 
     cut_skip = "" if stable and k >= 2 else "needs a merge-stable partition with >= 2 blocks"
-    family("pair_union_degree_bound", "pair", ((a, b) for a, b, _ in agg.pairs()),
-           lambda p: tn * (m_v[p[0]] + m_v[p[1]]) ** 2 >= 4 * zt * _scaled(agg.edge_fraction(*p), z),
+    family("pair_union_degree_bound", "pair",
+           ((a, b) for a, b, w in agg.pairs() if tn * (m_v[a] + m_v[b]) ** 2 < 4 * zt * w),
            cut_skip)
     scaling: list[ScalingCheck] = []
     mc = max_blocks = count_ok = None
@@ -315,10 +314,11 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     if not cut_skip:
         ratio = Fraction(mc, tf * z)
         cap, upper = Fraction(1, 4) - ratio, 1 - ratio
-        lo, hi, room = mc * td, tn * z - mc * td, z * (tn * z - 4 * mc * td)
-        scaling = [ScalingCheck(c, degree[c], ratio, upper,
-                                lo < tn * v < hi and tn * (2 * v - z) ** 2 <= room)
-                   for c, v in enumerate(m_v)]
+        # the squared window alone decides: it says tn*v*(z - v) >= mc*td*z,
+        # which is positive as the cut is at least 1, so mc*td < tn*v < tn*z - mc*td
+        room = z * (tn * z - 4 * mc * td)
+        scaling = [ScalingCheck(c, agg.degree_fraction(c), ratio, upper,
+                                tn * (2 * v - z) ** 2 <= room) for c, v in enumerate(m_v)]
         max_blocks = tf * z / mc
         count_ok = k < max_blocks and (Fraction(1, k) - Fraction(1, 2)) ** 2 <= cap
     row("cut_window", all(sc.passed for sc in scaling), skip=cut_skip)
