@@ -51,49 +51,6 @@ from .oracle import OracleResult, best_partition, is_coarsening_optimal, set_par
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsReport",
-    "CommunityAggregates",
-    "DisconnectedError",
-    "FormatError",
-    "Graph",
-    "IllegalStateError",
-    "IsolatedVertexError",
-    "OracleResult",
-    "Partition",
-    "SizeLimitError",
-    "SweepEngine",
-    "TraceRecord",
-    "TreeBound",
-    "best_partition",
-    "bounds_report",
-    "complete_binary_tree",
-    "compose",
-    "connected_components",
-    "daisy_graph",
-    "daisy_reference_modularity",
-    "daisy_stable_petal_count",
-    "detect_communities",
-    "format_edge_list",
-    "format_partition",
-    "format_trace_csv",
-    "is_coarsening_optimal",
-    "is_merge_stable",
-    "load_edge_list",
-    "merge_gain",
-    "min_cut",
-    "modularity",
-    "modularity_complement",
-    "parse_partition",
-    "quotient",
-    "refine_connected",
-    "refines",
-    "resolution",
-    "set_partitions",
-    "singleton_partition",
-    "tree_bound",
-    "tree_core_modularity",
-    "tree_core_partition",
-    "tree_modularity_identity",
-    "tree_score_profile",
-]
+# every public name is one the import block above binds from the package
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(f"{__name__}."))

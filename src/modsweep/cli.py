@@ -43,12 +43,8 @@ def _outputs(code: int, *pieces: tuple[str, str]) -> Outputs:
             [(path, text) for path, text in pieces if path != "-"])
 
 
-def _read_graph(path: str) -> tuple[Graph, list[str]]:
-    return load_edge_list(_read_text(path))
-
-
 def _cmd_detect(args) -> Outputs:
-    graph, labels = _read_graph(args.graph)
+    graph, labels = load_edge_list(_read_text(args.graph))
     t_min = positive_fraction(args.t_min, "--t-min")
     part, trace = detect_communities(graph, t_min)
     final = trace[-1]  # the returned partition's exact record
@@ -70,7 +66,7 @@ def _cmd_detect(args) -> Outputs:
 
 def _read_scored(args) -> tuple[Graph, Partition, Fraction, list[str]]:
     """``score``'s and ``verify``'s inputs, and ``t_exact`` under ``--exact-report``."""
-    graph, labels = _read_graph(args.graph)
+    graph, labels = load_edge_list(_read_text(args.graph))
     part = parse_partition(_read_text(args.partition), labels)
     t = positive_fraction(args.t, "--t")
     return graph, part, t, [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
@@ -103,7 +99,7 @@ def _cmd_gen(args) -> Outputs:
 
 
 def _cmd_oracle(args) -> Outputs:
-    graph, labels = _read_graph(args.graph)
+    graph, labels = load_edge_list(_read_text(args.graph))
     t = positive_fraction(args.t, "--t")
     result = best_partition(graph, t)
     summary = (f"best_q {rounded(result.best_q)}\n"
@@ -113,7 +109,7 @@ def _cmd_oracle(args) -> Outputs:
 
 
 def _cmd_mincut(args) -> Outputs:
-    graph, _ = _read_graph(args.graph)
+    graph, _ = load_edge_list(_read_text(args.graph))
     return _outputs(0, ("-", f"{min_cut(graph)}\n"))
 
 
@@ -184,6 +180,3 @@ def main(argv=None) -> int:
         return 2
     return code
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -140,8 +140,7 @@ class SweepEngine:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        n = graph.n
-        self.n = n
+        n = self.n = graph.n
         z = self.z = graph.z
         self._adj: list[dict[int, int] | None] = [None] * n
         self.w_internal = sum(graph.loop)
@@ -152,9 +151,7 @@ class SweepEngine:
         self._parent = ids[:]
         self.deg_sq = sum(d * d for d in deg)
         self.merges = self.max_group = 0
-        self.heap_pushes = 0
-        self.stale_pops = 0
-        self.max_rewired = 0
+        self.heap_pushes = self.stale_pops = self.max_rewired = 0
         self.trace: list[TraceRecord] = []
         scale = self._scale = z * z
         gscale = self._gscale = scale * scale

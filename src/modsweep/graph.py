@@ -24,6 +24,7 @@ from typing import Collection, Iterable, Iterator
 
 from .errors import DisconnectedError, FormatError, IsolatedVertexError
 from .partition import Partition, _fields
+from .rational import too_long
 
 
 class Graph:
@@ -135,7 +136,8 @@ def load_edge_list(source) -> tuple[Graph, list[str]]:
                 if w > 0 and not (parts[2].isascii() and parts[2].isdigit()):
                     raise ValueError(parts[2])  # '+5', '1_0' or non-ASCII digits
             except ValueError:
-                raise FormatError(f"line {lineno}: weight {parts[2]!r} is not an integer") from None
+                why = too_long(parts[2]) or f"{parts[2]!r} is not an integer"
+                raise FormatError(f"line {lineno}: weight {why}") from None
             if w <= 0:
                 raise FormatError(f"line {lineno}: weight must be positive, got {w}")
         us.append(index.setdefault(parts[0], len(index)))

@@ -111,12 +111,10 @@ class CommunityAggregates:
         Returns 0 when no distinct pair carries edge mass, i.e. when the
         partition refines the connected components.
         """
-        z = self.z
-        bd = self.block_degree
+        z, bd = self.z, self.block_degree
         best_num, best_den = 0, 1
         for a, b, w in self.pairs():
-            num = z * w
-            den = bd[a] * bd[b]
+            num, den = z * w, bd[a] * bd[b]
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
         return Fraction(best_num, best_den)
@@ -314,11 +312,10 @@ def bounds_report(graph: Graph, partition: Partition, t=1) -> BoundsReport:
     if not cut_skip:
         ratio = Fraction(mc, tf * z)
         cap, upper = Fraction(1, 4) - ratio, 1 - ratio
-        # the squared window alone decides: it says tn*v*(z - v) >= mc*td*z,
-        # which is positive as the cut is at least 1, so mc*td < tn*v < tn*z - mc*td
-        room = z * (tn * z - 4 * mc * td)
+        # (v/z - 1/2)**2 <= 1/4 - ratio, times tn*z*z, is mc*td*z <= tn*v*(z - v);
+        # as mc >= 1, it implies the open window mc*td < tn*v < tn*z - mc*td
         scaling = [ScalingCheck(c, agg.degree_fraction(c), ratio, upper,
-                                tn * (2 * v - z) ** 2 <= room) for c, v in enumerate(m_v)]
+                                mc * td * z <= tn * v * (z - v)) for c, v in enumerate(m_v)]
         max_blocks = tf * z / mc
         count_ok = k < max_blocks and (Fraction(1, k) - Fraction(1, 2)) ** 2 <= cap
     row("cut_window", all(sc.passed for sc in scaling), skip=cut_skip)

@@ -7,6 +7,7 @@ output is reproducible.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import FormatError
@@ -65,9 +66,14 @@ def format_partition(partition: Partition, labels: list[str] | None = None) -> s
 
 def _fields(source) -> Iterator[tuple[int, str, list[str]]]:
     """Yield (line number, line, fields) for each line, as ``str.splitlines``
-    cuts a text or each line of a stream, that has fields; ``#`` starts a comment."""
-    lines = source.splitlines() if isinstance(source, str) else (
-        piece for line in source for piece in line.splitlines() or [line])
+    cuts a text or each line of a stream, that has fields; ``#`` starts a comment.
+    One byte-order mark (U+FEFF) at the start of the text or stream is dropped."""
+    if isinstance(source, str):
+        lines = source.removeprefix("\ufeff").splitlines()
+    else:
+        source = iter(source)
+        lines = (piece for line in chain([next(source, "").removeprefix("\ufeff")], source)
+                 for piece in line.splitlines() or [line])
     for lineno, raw in enumerate(lines, 1):
         parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if parts:

@@ -8,6 +8,7 @@ become floats only as text, through ``rounded``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -22,10 +23,21 @@ def positive_fraction(t, name: str = "t") -> Fraction:
     try:
         f = Fraction(str(t) if isinstance(t, float) else t)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"{name} must be a number, got {t!r}") from None
+        why = too_long(t) or f"must be a number, got {t!r}"
+        raise ValueError(f"{name} {why}") from None
     if f <= 0:
         raise ValueError(f"{name} must be positive, got {t!r}")
     return f
+
+
+def too_long(token) -> str | None:
+    """Why a string ``token`` with more digits than ``int`` reads from text
+    (``sys.get_int_max_str_digits()``, 4,300 by default) is refused: a short
+    prefix of it and the limit.  None for any other token."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 when there is no limit
+    if limit and isinstance(token, str) and sum(map(str.isdigit, token)) > limit:
+        return f"{token[:20]!r}... has more than {limit:,} digits"
+    return None
 
 
 def rounded(x, digits: int = 12) -> str:

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -125,6 +126,25 @@ class TestDetect:
         q1 = float([l for l in det.stdout.splitlines() if l.startswith("q_1")][0].split()[1])
         assert 0.75 <= q1 <= 0.763
         assert (tmp_path / "tr.csv").read_text().startswith("step,t,k,q_t,q_1,alpha")
+
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, monkeypatch):
+        """Karate behind a UTF-8 byte-order mark gives the same bytes as
+        karate: ``detect``'s stdout, ``--trace`` and ``--output``, and
+        ``verify`` of that partition behind a mark.  So does stdin."""
+        text = files("modsweep").joinpath("data/karate.edges").read_text()
+        runs = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            graph, trace, part = (tmp_path / f"{name}.{ext}" for ext in ("edges", "csv", "parts"))
+            graph.write_text(mark + text, encoding="utf-8")
+            detect = run_cli(capsys, "detect", str(graph), "--exact-report",
+                             "--trace", str(trace), "--output", str(part))
+            files_out = trace.read_bytes(), part.read_bytes()
+            part.write_text(mark + part.read_text(), encoding="utf-8")
+            runs.append((detect, files_out, run_cli(capsys, "verify", str(graph), str(part))))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] == 0 and runs[0][2][0] == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeffa b\nb c\nc a\nc d\n"))
+        assert run_cli(capsys, "detect", "-")[1].startswith("n 4\n")
 
 
 class TestScore:
@@ -316,6 +336,33 @@ class TestErrors:
         path.write_text("a b\nc d\n")
         code, _, err = run_cli(capsys, "mincut", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, echo", [
+        (("detect", "{long}"), f"line 2: weight '77{'7' * 18}'"),
+        (("score", "{graph}", "{part}", "--t", "{digits}"), f"--t '77{'7' * 18}'"),
+        (("verify", "{graph}", "{part}", "--t", "1/{digits}"), f"--t '1/{'7' * 18}'"),
+        (("detect", "{graph}", "--t-min", "0.{digits}"), f"--t-min '0.{'7' * 18}'"),
+    ])
+    def test_numbers_past_the_digit_limit(self, capsys, tmp_path, barbell_file, argv, echo):
+        """A weight or resolution with more digits than ``int`` reads from
+        text (``sys.get_int_max_str_digits()``, 4,300 by default) exits 2
+        naming the limit and echoing a 20-character prefix, not the whole
+        token as a malformed number."""
+        digits = "7" * 4301
+        part, long = tmp_path / "p.txt", tmp_path / "long.edges"
+        part.write_text("".join(f"{v} 0\n" for v in "abcdef"))
+        long.write_text(f"a b\nb c {digits}\n")
+        paths = {"graph": barbell_file, "part": str(part), "long": str(long), "digits": digits}
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: {echo}... has more than 4,300 digits\n"
+
+    def test_numbers_at_the_digit_limit(self, capsys, tmp_path):
+        """4,300 digits still read, as a weight and as a resolution."""
+        graph = tmp_path / "g.edges"
+        graph.write_text(f"a b {'4' * 4300}\nb c\n")  # z still prints: 4,300 digits
+        code, out, _ = run_cli(capsys, "detect", str(graph), "--t-min", "1/" + "7" * 4300)
+        assert code == 0 and out.startswith("n 3\n")
 
 
 def test_printed_bytes_are_pinned(capsys, tmp_path):

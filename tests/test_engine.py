@@ -399,7 +399,59 @@ class TestGoldenMergeSequence:
             "554f75185af3525aaa4b79bbcc1338037dd9c19d22d43d79b0e1407c35faec29")
 
 
+def _k2n(s):
+    return [(hub, 2 + i, 1) for hub in (0, 1) for i in range(s)]
+
+
+def _wheel(s):
+    return [(0, 1 + i, 1) for i in range(s)] + [(1 + i, 1 + (i + 1) % s, 1) for i in range(s)]
+
+
+def _caterpillar(s):
+    return [(i, i + 1, 1) for i in range(s - 1)] + [(i, s + i, 1) for i in range(s)]
+
+
+def _ring_of_k4s(s):
+    return ([(4 * i + a, 4 * i + b, 1) for i in range(s) for a in range(4) for b in range(a + 1, 4)]
+            + [(4 * i + 3, 4 * ((i + 1) % s), 1) for i in range(s)])
+
+
+def _grid(s, rows=16):
+    return ([(r * s + j, r * s + j + 1, 1) for r in range(rows) for j in range(s - 1)]
+            + [(r * s + j, (r + 1) * s + j, 1) for r in range(rows - 1) for j in range(s)])
+
+
+def _star_of_stars(s, leaves=4):
+    return [(0, 1 + i, 1) for i in range(s)] + [
+        (1 + i, 1 + s + leaves * i + j, 1) for i in range(s) for j in range(leaves)]
+
+
+# each family's edge list at size s, and its first size: about 1,000 edges
+GROWTH_FAMILIES = {"K(2,n)": (_k2n, 512), "wheel": (_wheel, 512),
+                   "caterpillar": (_caterpillar, 512), "ring of K4s": (_ring_of_k4s, 128),
+                   "grid": (_grid, 32), "star of stars": (_star_of_stars, 192),
+                   "windmill": (windmill_edges, 320)}
+
+
 class TestCounters:
+    @pytest.mark.parametrize("family", list(GROWTH_FAMILIES))
+    def test_work_per_edge_is_flat_across_doublings(self, family):
+        """Heap work per edge, ``(heap_pushes + stale_pops) / m``, of a full
+        sweep of a seeded relabelling grows at most 1.15 times per doubling
+        of the family's size, over three doublings.  The most measured is
+        1.02 times (grid); a quadratic path would double it."""
+        edges_of, size = GROWTH_FAMILIES[family]
+        per_edge = []
+        for s in (size, 2 * size, 4 * size, 8 * size):
+            edges = edges_of(s)
+            label = list(range(1 + max(max(u, v) for u, v, _ in edges)))
+            random.Random(f"{family}/{s}").shuffle(label)
+            eng = SweepEngine(relabelled(edges, label))
+            while eng.resolution() > 0:
+                eng.resolution_sweep()
+            per_edge.append((eng.heap_pushes + eng.stale_pops) / len(edges))
+        assert all(b <= 1.15 * a for a, b in zip(per_edge, per_edge[1:])), per_edge
+
     @pytest.mark.parametrize("order", ["first", "last", "shuffled"])
     def test_windmill_work_grows_subquadratically(self, order):
         """A hub that absorbs its blades one at a time: heap work grows about

@@ -709,6 +709,42 @@ class TestBoundsReport:
                           "diag_upper_boundary", "diag_lower_boundary_sq", "pair_union_degree_bound",
                           "q_upper_boundary_factor", "merge_stable", "cut_window"}, failed
 
+    def test_cut_window_holds_on_its_edge(self, barbell):
+        """The barbell cut into its triangles at t = 2/7 sits exactly on the
+        cut window's edge, ``mc*td*z == tn*v*(z - v)`` (1*7*14 == 2*7*7 for
+        each block of degree 7), and the closed window passes it."""
+        p, t = Partition([0, 0, 0, 1, 1, 1]), Fraction(2, 7)
+        rep = bounds_report(barbell, p, t)
+        mc, z, v = rep.min_cut_value, barbell.z, 7
+        assert (mc, z, rep.stable) == (1, 14, True)
+        assert [sc.degree_fraction for sc in rep.scaling] == [Fraction(v, z)] * 2
+        assert mc * t.denominator * z == t.numerator * v * (z - v)
+        assert rep.all_pass and [sc.passed for sc in rep.scaling] == [True, True]
+        assert ([(row.name, row.passed, row.note) for row in rep.checks],
+                [sc.passed for sc in rep.scaling]) == reference_rows(barbell, p, t)
+
+    def test_cut_window_fails_one_unit_past_its_edge(self, monkeypatch):
+        """A merge-stable partition (resolution 5/16 < t = 9/26; z = 40, cut
+        2) whose block {0, 4} has its degree moved from 8 to 7, the reference
+        test's -1 move, misses the window by exactly one unit: 9*7*33 ==
+        2*26*40 - 1.  The flag fails, as the ``Fraction`` reference does, so
+        a window one unit looser fails this test."""
+        g = Graph.from_edge_list([(0, 2, 2), (0, 4, 3), (1, 2, 4), (1, 3, 5), (2, 3, 4),
+                                  (3, 3, 2)])
+        p, t = Partition([0, 1, 1, 1, 0]), Fraction(9, 26)
+        assert (g.z, min_cut(g), resolution(g, p)) == (40, 2, Fraction(5, 16))
+        assert [sc.passed for sc in bounds_report(g, p, t).scaling] == [True, True]
+        real = CommunityAggregates.degree
+        monkeypatch.setattr(CommunityAggregates, "degree",
+                            lambda self, c: real(self, c) - (c == 0))
+        rep = bounds_report(g, p, t)
+        mc, z, v = rep.min_cut_value, g.z, 7
+        assert rep.scaling[0].degree_fraction == Fraction(v, z)
+        assert mc * t.denominator * z - t.numerator * v * (z - v) == 2080 - 2079
+        assert rep.stable and [sc.passed for sc in rep.scaling] == [False, True]
+        assert ([(row.name, row.passed, row.note) for row in rep.checks],
+                [sc.passed for sc in rep.scaling]) == reference_rows(g, p, t)
+
     def test_fraction_work_per_block_and_pair(self, monkeypatch):
         """On a windmill's detected partition, ``bounds_report`` makes one
         ``Fraction`` per block, each scaling row's degree fraction, none per

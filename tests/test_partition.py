@@ -172,6 +172,26 @@ class TestPartitionIO:
             for stream in (io.StringIO(text), io.StringIO(text, newline="")):
                 assert _result_or_error(read, stream) == want
 
+    @pytest.mark.parametrize("probe", ["a b\nc a", "# mark\na b\nc a", "\na b\nc a"])
+    def test_one_leading_byte_order_mark_is_dropped(self, probe):
+        """A U+FEFF that opens a text or a stream of lines is no part of the
+        first label, of a graph or of a partition."""
+        want = _graph_rows(probe)
+        for source in ("\ufeff" + probe, io.StringIO("\ufeff" + probe), ["\ufeff" + probe]):
+            assert _graph_rows(source) == want
+        part = "\ufeff" + "".join(f"{label} {c}\n" for c, label in enumerate(want[0]))
+        for source in (part, io.StringIO(part)):
+            assert parse_partition(source, want[0]).assign == [0, 1, 2]
+
+    def test_only_the_first_byte_order_mark_is_dropped(self):
+        """A second mark, or one that opens a later line, stays in its label."""
+        assert _graph_rows("\ufeff\ufeffa b\nc a")[0] == ["\ufeffa", "b", "c", "a"]
+        for source in ("a b\n\ufeffc a", ["a b\n", "\ufeffc a"]):
+            assert _graph_rows(source)[0] == ["a", "b", "\ufeffc"]
+        with pytest.raises(FormatError) as exc:
+            parse_partition("\ufeff\ufeffa 0\nb 0\n", ["a", "b"])
+        assert str(exc.value) == "line 1: unknown vertex label '\\ufeffa'"
+
 
 def _graph_rows(source):
     g, labels = load_edge_list(source)
