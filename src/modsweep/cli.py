@@ -24,7 +24,7 @@ from .graph import Graph, format_edge_list, load_edge_list, min_cut
 from .modularity import CommunityAggregates, bounds_report
 from .oracle import best_partition
 from .partition import Partition, format_partition, parse_partition
-from .rational import positive_fraction, rounded
+from .rational import int_text, positive_fraction, rounded
 
 Outputs = tuple[int, str, list[tuple[str, str]]]
 
@@ -43,19 +43,22 @@ def _outputs(code: int, *pieces: tuple[str, str]) -> Outputs:
             [(path, text) for path, text in pieces if path != "-"])
 
 
+def _exact(x: Fraction) -> str:
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
+
+
 def _cmd_detect(args) -> Outputs:
     graph, labels = load_edge_list(_read_text(args.graph))
     t_min = positive_fraction(args.t_min, "--t-min")
     part, trace = detect_communities(graph, t_min)
     final = trace[-1]  # the returned partition's exact record
     q_t_min = final.q_1 + (1 - t_min) * final.alpha
-    lines = [f"n {graph.n}", f"z {graph.z}", f"t_min {rounded(t_min)}",
+    lines = [f"n {graph.n}", f"z {int_text(graph.z)}", f"t_min {rounded(t_min)}",
              f"communities {len(part)}", f"q_t_min {rounded(q_t_min)}",
              f"q_1 {rounded(final.q_1)}", f"final_resolution {rounded(final.t_exact)}",
              f"sweeps {len(trace) - 1}"]
     if args.exact_report:
-        fr = final.t_exact
-        lines.append(f"final_resolution_exact {fr.numerator}/{fr.denominator}")
+        lines.append(f"final_resolution_exact {_exact(final.t_exact)}")
     pieces = [("-", "\n".join(lines) + "\n")]
     if args.trace:
         pieces.append((args.trace, format_trace_csv(trace)))
@@ -69,7 +72,7 @@ def _read_scored(args) -> tuple[Graph, Partition, Fraction, list[str]]:
     graph, labels = load_edge_list(_read_text(args.graph))
     part = parse_partition(_read_text(args.partition), labels)
     t = positive_fraction(args.t, "--t")
-    return graph, part, t, [f"t_exact {t.numerator}/{t.denominator}"] if args.exact_report else []
+    return graph, part, t, [f"t_exact {_exact(t)}"] if args.exact_report else []
 
 
 def _cmd_score(args) -> Outputs:
@@ -110,7 +113,7 @@ def _cmd_oracle(args) -> Outputs:
 
 def _cmd_mincut(args) -> Outputs:
     graph, _ = load_edge_list(_read_text(args.graph))
-    return _outputs(0, ("-", f"{min_cut(graph)}\n"))
+    return _outputs(0, ("-", int_text(min_cut(graph)) + "\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,10 @@ every resolution down to ``t_min``.
 Exactness: all control flow compares integer ratios by cross multiplication.
 A heap key is ``-floor(ratio * B**2)``, from ``_key``, where B bounds the
 ratio's denominator: distinct ratios differ by at least 1/B**2, so the
-integer keys order them exactly.  Trace records hold exact values too, so
-``detect_communities`` runs at any resolution; only ``TraceRecord.t`` and
-``format_trace_csv`` round, and they raise ``OverflowError`` beyond the
-float range.
+integer keys order them exactly.  Trace records hold exact integers too,
+so ``detect_communities`` runs at any resolution; only ``TraceRecord.t``
+and ``format_trace_csv`` round.  Both raise ``OverflowError`` above the
+float range, and the CSV also below it.
 
 Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
 Each pair is filed in the candidate row of its owner, the endpoint of
@@ -88,13 +88,39 @@ def _key(num: int, den: int, scale: int) -> int:
 
 
 class TraceRecord(NamedTuple):
-    """Exact snapshot taken each time a new resolution is reached."""
+    """Snapshot taken each time a new resolution is reached, as the engine's
+    integers (``internal`` and ``deg_sq`` are its two running sums); the
+    exact values are Fractions built when read."""
     step: int
-    t_exact: Fraction
     k: int
-    q_t: Fraction
-    q_1: Fraction
-    alpha: Fraction
+    tn: int
+    td: int
+    internal: int
+    deg_sq: int
+    z: int
+
+    def ratios(self) -> tuple[tuple[int, int], ...]:
+        """``t_exact``, ``q_t``, ``q_1`` and ``alpha`` as unreduced
+        (numerator, positive denominator) pairs."""
+        tn, td, s, z = self.tn, self.td, self.deg_sq, self.z
+        w, z2 = self.internal * z, z * z
+        return (tn, td), (w * td - tn * s, z2 * td), (w - s, z2), (s, z2)
+
+    @property
+    def t_exact(self) -> Fraction:
+        return Fraction(*self.ratios()[0])
+
+    @property
+    def q_t(self) -> Fraction:
+        return Fraction(*self.ratios()[1])
+
+    @property
+    def q_1(self) -> Fraction:
+        return Fraction(*self.ratios()[2])
+
+    @property
+    def alpha(self) -> Fraction:
+        return Fraction(*self.ratios()[3])
 
     @property
     def t(self) -> float:
@@ -107,8 +133,10 @@ TRACE_COLUMNS = "step,t,k,q_t,q_1,alpha"
 
 def format_trace_csv(trace: list[TraceRecord]) -> str:
     """CSV with the fixed column set, 12 significant digits."""
-    rows = (f"{r.step},{rounded(r.t_exact)},{r.k},{rounded(r.q_t)},{rounded(r.q_1)},"
-            f"{rounded(r.alpha)}" for r in trace)
+    rows = []
+    for r in trace:
+        t, q_t, q_1, alpha = (rounded(*ratio) for ratio in r.ratios())
+        rows.append(f"{r.step},{t},{r.k},{q_t},{q_1},{alpha}")
     return "\n".join([TRACE_COLUMNS, *rows]) + "\n"
 
 
@@ -230,15 +258,11 @@ class SweepEngine:
         return Partition(root)
 
     def record_trace(self) -> TraceRecord:
-        """Append and return an exact snapshot of the current state at its
-        own resolution, read from the engine's two running sums."""
+        """Append and return a snapshot of the current state at its own
+        resolution, read from the engine's two running sums."""
         tn, td = self._refill()
-        z2 = self.z * self.z
-        w = self.w_internal * self.z
-        deg_sq = self.deg_sq
-        rec = TraceRecord(len(self.trace), Fraction(tn, td), self.n - self.merges,
-                          Fraction(w * td - tn * deg_sq, z2 * td), Fraction(w - deg_sq, z2),
-                          Fraction(deg_sq, z2))
+        rec = TraceRecord(len(self.trace), self.n - self.merges, tn, td,
+                          self.w_internal, self.deg_sq, self.z)
         self.trace.append(rec)
         return rec
 
@@ -423,8 +447,9 @@ def detect_communities(graph: Graph, t_min=1.0) -> tuple[Partition, list[TraceRe
     returned unchanged.
     """
     tf = positive_fraction(t_min, "t_min")
+    num, den = tf.numerator, tf.denominator
     eng = SweepEngine(graph)
     rec = eng.record_trace()
-    while rec.t_exact >= tf:
+    while rec.tn * den >= num * rec.td:
         rec = eng.resolution_sweep()
     return eng.check_stable(tf), list(eng.trace)

@@ -225,8 +225,8 @@ class BoundsReport(NamedTuple):
             status = "PASS" if sc.passed else "FAIL"
             lines.append(
                 f"community_window c{sc.community} {status} "
-                f"({rounded(sc.lower, 6)} < {rounded(sc.degree_fraction, 6)} < "
-                f"{rounded(sc.upper, 6)})"
+                f"({rounded(sc.lower, digits=6)} < {rounded(sc.degree_fraction, digits=6)} < "
+                f"{rounded(sc.upper, digits=6)})"
             )
         return "\n".join(lines)
 

@@ -3,7 +3,8 @@
 Every comparison that steers control flow (resolution ordering, zero tests
 of merge gains) is done on integer ratios, never on floats.  Python ints
 are unbounded, so cross-multiplied comparisons are always exact.  Values
-become floats only as text, through ``rounded``.
+become floats only as text, through ``rounded``; exact ints of any length
+become text through ``int_text``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,27 @@ def too_long(token) -> str | None:
     return None
 
 
-def rounded(x, digits: int = 12) -> str:
-    """``x`` to ``digits`` significant digits: every printed number rounds
-    here.  Raises OverflowError beyond the float range."""
-    return f"{float(x):.{digits}g}"
+def rounded(x, den: int | None = None, digits: int = 12) -> str:
+    """``x``, or ``x / den`` for an int ``x`` and a positive int ``den``, to
+    ``digits`` significant digits: every printed number rounds here.  Int
+    division is correctly rounded, as ``float`` of a Fraction is, so a pair
+    prints as its Fraction would.  Raises OverflowError when the exact value
+    is outside the float range: above the largest float, or nonzero and
+    below ``sys.float_info.min``, where floats lose digits and reach 0."""
+    f = float(x) if den is None else x / den
+    if x and abs(f) <= sys.float_info.min and abs(Fraction(x) / (den or 1)) < sys.float_info.min:
+        raise OverflowError("nonzero value too small for a float")
+    return f"{f:.{digits}g}"
+
+
+def int_text(n: int) -> str:
+    """The decimal text of the int ``n`` at any length.  ``str`` refuses
+    more than ``sys.get_int_max_str_digits()`` digits; a longer ``n`` is
+    split in halves, each written below that limit, and the process-wide
+    setting is left alone."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 when there is no limit
+    if not limit or n.bit_length() < 3 * limit:  # each digit takes more than 3 bits
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half its digits, 0.301 per bit
+    high, low = divmod(abs(n), 10 ** half)
+    return "-" * (n < 0) + int_text(high) + int_text(low).zfill(half)

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import modsweep
 from modsweep import (Partition, detect_communities, format_partition, load_edge_list,
                       modularity, parse_partition, singleton_partition)
 from modsweep.cli import build_parser, main
-from modsweep.rational import rounded
+from modsweep.rational import int_text, rounded
 
 BARBELL_TEXT = "a b\nb c\na c\nd e\ne f\nd f\nc d\n"
 
@@ -300,6 +301,54 @@ class TestErrors:
         assert not out.exists() and not trace.exists()
 
     @pytest.mark.parametrize("argv", [
+        ("detect", "{graph}", "--t-min", "1e-400", "--output", "{out}"),
+        ("detect", "{graph}", "--t-min", "1/" + "7" * 4300),
+        ("detect", "{light}", "--output", "{out}"),
+        ("detect", "{heavy}", "--trace", "{trace}"),
+        ("verify", "{graph}", "{part}", "--t", "1e-400"),
+        ("verify", "{graph}", "{part}", "--t", "1e-320"),
+    ])
+    def test_values_below_float_range(self, capsys, tmp_path, barbell_file, argv):
+        """A nonzero value too small for a normal float exits 2 before
+        anything is written, rather than printing as 0, -0 or with lost
+        digits.  ``light`` ends with q_1 = 2/10**400; ``heavy``, two loops
+        of weight 10**400 joined by one unit edge, resolves at
+        2/(2*10**400 + 1), which its trace's first row holds too."""
+        part = tmp_path / "p.txt"
+        part.write_text("".join(f"{v} 0\n" for v in "abc") + "".join(f"{v} 1\n" for v in "def"))
+        light, heavy = tmp_path / "light.edges", tmp_path / "heavy.edges"
+        light.write_text(f"a b {10 ** 400}\nc d 1\n")
+        heavy.write_text(f"a a {10 ** 400}\nb b {10 ** 400}\na b 1\n")
+        out, trace = tmp_path / "out.txt", tmp_path / "trace.csv"
+        paths = {"graph": barbell_file, "part": str(part), "light": str(light),
+                 "heavy": str(heavy), "out": str(out), "trace": str(trace)}
+        code, stdout, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert (code, stdout) == (2, "")
+        assert err == "error: nonzero value too small for a float\n"
+        assert not out.exists() and not trace.exists()
+
+    def test_exact_integers_print_in_full(self, capsys, tmp_path):
+        """``z``, the ``--exact-report`` fractions and ``mincut`` print every
+        digit of an integer longer than ``str`` writes (4,300 digits), and
+        leave the process-wide limit as it was."""
+        limit = sys.get_int_max_str_digits()
+        long = tmp_path / "long.edges"
+        long.write_text(f"a b {'7' * 4300}\nb c\n")  # z = 2 * (7...7 + 1)
+        code, out, _ = run_cli(capsys, "detect", str(long))
+        assert code == 0
+        assert out.splitlines()[1] == "z 1" + "5" * 4299 + "6"
+        pair = tmp_path / "pair.edges"
+        pair.write_text(f"a b {'9' * 4300}\na b 1\n")  # one edge of weight 10**4300
+        assert run_cli(capsys, "mincut", str(pair)) == (0, "1" + "0" * 4300 + "\n", "")
+        part = tmp_path / "p.txt"
+        part.write_text("a 0\nb 0\n")
+        code, out, _ = run_cli(capsys, "score", str(pair), str(part), "--exact-report",
+                               "--t", "0." + "0" * 4299 + "1")
+        assert code == 0
+        assert out.splitlines()[0] == "t_exact 1/1" + "0" * 4300
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("argv", [
         ("detect", "{graph}", "--trace", "{trace}", "--output", "{bad}"),
         ("oracle", "{graph}", "--output", "{bad}"),
     ])
@@ -316,13 +365,19 @@ class TestErrors:
 
     def test_weights_beyond_float_range(self, capsys, tmp_path):
         """The sweep is exact, so such a graph fails only where a value
-        beyond float range is printed, as in its trace."""
+        outside float range is printed, as in its trace.  Two heavy pairs
+        keep q_1 near 1/2; beside one light pair alone it would be
+        2/10**400, below float range (``test_values_below_float_range``)."""
         huge = tmp_path / "huge.edges"
-        huge.write_text(f"a b {10 ** 400}\nc d 1\n")
+        huge.write_text(f"a b {10 ** 400}\nc d {10 ** 400}\ne f 1\n")
         code, out, _ = run_cli(capsys, "detect", str(huge))
         assert code == 0
-        assert "communities 2" in out.splitlines()
+        assert "communities 3" in out.splitlines()
         assert "final_resolution 0" in out.splitlines()
+        trace = tmp_path / "trace.csv"  # its first row's t is z/1, about 4e400
+        code, out, err = run_cli(capsys, "detect", str(huge), "--trace", str(trace))
+        assert (code, out, err) == (2, "", "error: integer division result too large for a float\n")
+        assert not trace.exists()
 
     def test_ensure_connected_flag_rejected(self, barbell_file):
         # every community the sweep returns is connected, so there is no
@@ -358,11 +413,15 @@ class TestErrors:
         assert err == f"error: {echo}... has more than 4,300 digits\n"
 
     def test_numbers_at_the_digit_limit(self, capsys, tmp_path):
-        """4,300 digits still read, as a weight and as a resolution."""
+        """4,300 digits still read, as a weight and as a resolution.  The
+        resolution is 7/8: 1/7...7 would be below float range, which exits 2
+        when printed (``test_values_below_float_range``)."""
         graph = tmp_path / "g.edges"
         graph.write_text(f"a b {'4' * 4300}\nb c\n")  # z still prints: 4,300 digits
-        code, out, _ = run_cli(capsys, "detect", str(graph), "--t-min", "1/" + "7" * 4300)
+        code, out, _ = run_cli(capsys, "detect", str(graph), "--t-min",
+                               "7" * 4300 + "/" + "8" * 4300)
         assert code == 0 and out.startswith("n 3\n")
+        assert "t_min 0.875" in out.splitlines()
 
 
 def test_printed_bytes_are_pinned(capsys, tmp_path):
@@ -451,6 +510,47 @@ def test_only_text_output_rounds_to_float():
     """Library results stay exact: ``float()`` is called only by the one
     rounding helper and by ``TraceRecord.t``."""
     assert _call_sites("float") == {"rational.py:rounded", "engine.py:TraceRecord.t"}
+
+
+def test_engine_builds_fractions_only_when_read():
+    """The sweep keeps its values as integers: in ``engine.py`` a
+    ``Fraction`` is built only when a ``TraceRecord`` value or
+    ``SweepEngine.resolution`` is read, so recording a resolution builds
+    none."""
+    sites = {site for site in _call_sites("Fraction") if site.startswith("engine.py:")}
+    assert sites == {"engine.py:SweepEngine.resolution", "engine.py:TraceRecord.t_exact",
+                     "engine.py:TraceRecord.q_t", "engine.py:TraceRecord.q_1",
+                     "engine.py:TraceRecord.alpha"}
+
+
+def test_rounding_at_the_edges_of_float_range():
+    """``rounded`` decides from the exact value: the smallest normal float
+    prints, and any nonzero value below it, or above the largest float,
+    raises, whether given as one number or as an integer pair."""
+    tiny = Fraction(sys.float_info.min)
+    assert rounded(tiny) == rounded(1, 2**1022) == "2.22507385851e-308"
+    assert rounded(-tiny) == rounded(-1, 2**1022) == "-2.22507385851e-308"
+    assert rounded(0) == rounded(0, 2**2000) == "0"
+    below = tiny * Fraction(2**60 - 1, 2**60)  # rounds to the minimum as a float
+    for x, den in ((below, None), (-below, None), (2**60 - 1, 2**1082), (1, 10**400),
+                   (Fraction(1, 10**320), None), (10**400, None), (10**400, 3)):
+        with pytest.raises(OverflowError):
+            rounded(x, den)
+
+
+def test_int_text_writes_every_digit():
+    """``int_text`` gives what ``str`` gives with the digit limit lifted,
+    leading zeros of each lower half included."""
+    rng = random.Random(7)
+    values = [0, 7, -5, 10**4300, 1 - 10**9000, 10**20000 + 1]
+    values += [rng.getrandbits(rng.randint(1, 80_000)) for _ in range(30)]
+    texts = [int_text(n) for n in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert texts == [str(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_only_main_writes_stdout():

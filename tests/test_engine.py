@@ -22,6 +22,7 @@ from modsweep import (
     detect_communities,
     format_trace_csv,
     is_merge_stable,
+    load_edge_list,
     modularity,
     quotient,
     refine_connected,
@@ -30,7 +31,7 @@ from modsweep import (
     singleton_partition,
 )
 from modsweep.engine import _key
-from modsweep.rational import positive_fraction
+from modsweep.rational import positive_fraction, rounded
 
 from conftest import (
     TWO_TRIANGLES_EDGES,
@@ -715,3 +716,28 @@ class TestTraceCsv:
         assert len(lines) == len(trace) + 1
         first = lines[1].split(",")
         assert first[0] == "0" and first[2] == "6"
+
+    def test_integer_pairs_print_as_their_fractions(self):
+        """Each column rounds its record's integer pair, and prints exactly
+        what rounding the reduced Fraction prints, on graphs with loops and
+        weights up to 2**40, negative ``q_t`` included."""
+        rng = random.Random(59)
+        negative = rows = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 25), max_w=rng.choice((1, 9, 2**20, 2**40)))
+            _, trace = detect_communities(g, Fraction(1, 10**6))
+            lines = [f"{r.step},{rounded(Fraction(r.tn, r.td))},{r.k},{rounded(r.q_t)},"
+                     f"{rounded(r.q_1)},{rounded(r.alpha)}" for r in trace]
+            assert format_trace_csv(trace) == "\n".join(["step,t,k,q_t,q_1,alpha", *lines]) + "\n"
+            negative += sum(r.q_t < 0 for r in trace)
+            rows += len(trace)
+        assert negative > 0 and rows > 300
+
+    def test_below_float_range(self):
+        """A trace value too small for a normal float raises, as one too
+        large does; the record keeps it exactly."""
+        g, _ = load_edge_list(f"a a {10**400}\nb b {10**400}\na b 1\n")
+        _, trace = detect_communities(g, 1)
+        assert trace[0].t_exact == Fraction(2, 2 * 10**400 + 1)
+        with pytest.raises(OverflowError):
+            format_trace_csv(trace)
