@@ -15,14 +15,16 @@ A heap key is ``-floor(ratio * B**2)``, from ``_key``, where B bounds the
 ratio's denominator: distinct ratios differ by at least 1/B**2, so the
 integer keys order them exactly.  Trace records hold exact integers too,
 so ``detect_communities`` runs at any resolution; only ``TraceRecord.t``
-and ``format_trace_csv`` round.  Both raise ``OverflowError`` above the
-float range, and the CSV also below it.
+and ``format_trace_csv`` round.  Both raise ``OverflowError`` outside the
+float range, above it or nonzero below ``sys.float_info.min``.
 
 Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
 Each pair is filed in the candidate row of its owner, the endpoint of
 higher degree (equal degrees go to the higher slot), keyed by
-``w / d_low``.  Degrees only grow, so an owner stays the owner when it
-grows, and its row keeps its order: every ratio in it scales by the same
+``w / d_low``.  Two places file a pair by this rule: ``_merge``'s loop,
+for each pair the absorbed community moves, and ``_file``, for a lapsed
+entry filed again.  Degrees only grow, so an owner stays the owner when
+it grows, and its row keeps its order: every ratio in it scales by the same
 factor.  So a community that absorbs many others one at a time never
 re-keys its own row.  The pairs where it was the low endpoint keep their
 old keys, which now overestimate their ratios; each is re-keyed only when
@@ -45,11 +47,12 @@ Entries are invalidated lazily.  A row entry carries the low endpoint's
 degree and the pair weight it was keyed with, and is current while that
 degree is unchanged.  An entry that is not current is popped when it
 reaches its row's front.  If the pair still has the entry's weight, only
-the partner grew: the entry has lapsed, and the pair is filed again under
-its current owner.  Otherwise the entry is superseded, because the merge
-that grew the weight filed a newer entry or the pair is gone, and it is
-dropped.  Degrees only grow and a pair is filed again as soon as its
-weight grows, so no stored key underestimates its pair's current ratio.
+the partner grew: the entry has lapsed, and ``_file`` files the pair
+again under its current owner.  Otherwise the entry is superseded, because
+the merge that grew the weight filed a newer entry in its loop or the pair
+is gone, and it is dropped.  Degrees only grow and a pair is filed again
+as soon as its weight grows, so no stored key underestimates its pair's
+current ratio.
 A row enters the global heap only with a current front, whenever its
 owner grows or a pair is filed in front of it, and a row whose published
 front has since gone stale is republished when its entry reaches the
@@ -72,7 +75,7 @@ from .errors import IllegalStateError
 from .graph import Graph
 from .modularity import is_merge_stable
 from .partition import Partition
-from .rational import positive_fraction, rounded
+from .rational import positive_fraction, rounded, to_float
 
 
 def _key(num: int, den: int, scale: int) -> int:
@@ -124,8 +127,9 @@ class TraceRecord(NamedTuple):
 
     @property
     def t(self) -> float:
-        """The resolution rounded to a float, for callers that plot it."""
-        return float(self.t_exact)
+        """The resolution rounded to a float, for callers that plot it;
+        raises OverflowError outside the float range, as the CSV does."""
+        return to_float(self.tn, self.td)
 
 
 TRACE_COLUMNS = "step,t,k,q_t,q_1,alpha"
@@ -154,10 +158,12 @@ class SweepEngine:
     from ``CommunityAggregates`` on ``partition()``.  ``_rows[slot]`` is
     its candidate row, a heap of ``(integer key of w/d_low, partner id,
     partner slot, d_low, w)``, or None before its first pair is filed (see
-    the module docstring).  ``_adj[slot]`` is None until the first merge
-    that touches the slot; ``_own`` then builds it from the input arrays,
-    keyed by the ints of ``_slots``.  A stale entry of a row still None has
-    lapsed.  The sweep never writes its input; ``check_stable`` reads it.
+    the module docstring): ``_merge`` files the pairs it moves in its own
+    loop, and ``_file`` files a lapsed pair again.  ``_adj[slot]`` is None
+    until the first merge that touches the slot; ``_own`` then builds it
+    from the input arrays, keyed by the ints of ``_slots``.  A stale entry
+    of a row still None has lapsed.  The sweep never writes its input;
+    ``check_stable`` reads it.
 
     Counters, all plain ints: ``merges``; ``max_group``, the most merges in
     one ``resolution_sweep``; ``heap_pushes``, entries pushed one at a time
@@ -270,7 +276,8 @@ class SweepEngine:
 
     def _file(self, s: int, v: int, w: int) -> int:
         """File the pair of slots s and v, of weight w, in its owner's row,
-        keyed by w / d_low.
+        keyed by w / d_low.  Only ``_publish`` calls it, for a lapsed pair;
+        ``_merge`` files the pairs it moves by the same rule in its loop.
 
         Returns the owner's slot when the pair lands at the front of that
         row, whose published front then needs replacing, and -1 otherwise.
@@ -335,9 +342,11 @@ class SweepEngine:
         slot o's row), updating aggregates and rows.
 
         Caller guarantees the pair has zero gain at the current resolution.
-        The smaller adjacency row moves into the larger one, and each of its
-        pairs is filed again under its owner with the merged community; a
-        neighbour's row where that pair lands in front is republished.
+        The smaller adjacency row moves into the larger one, and the loop
+        files each of its pairs again under its owner with the merged
+        community, as ``_file`` would, reading the merged community's id
+        and degree once; a neighbour's row where that pair lands in front
+        is republished at once.
         Pairs where the larger side was the low endpoint keep their keys
         until they reach the front of their row.  Then the grown row, whose
         ratios all fell, is republished.
@@ -366,7 +375,7 @@ class SweepEngine:
         wab = row_l.pop(small)
         self.w_internal += 2 * wab
         self.deg_sq += 2 * da * db
-        deg[a] = da + db
+        d = deg[a] = da + db
         deg[b] = 0
         self._parent[b] = a
         self._stamp[small] += 1  # retires the smaller side's published entry
@@ -374,7 +383,9 @@ class SweepEngine:
         self.merges += 1
         if moved > self.max_rewired:
             self.max_rewired = moved
-        file = self._file
+        self.heap_pushes += moved
+        scale = self._scale
+        publish = self._publish
         for v, w in row_s.items():
             if v == big:  # the merged pair
                 continue
@@ -382,9 +393,23 @@ class SweepEngine:
             del row_v[small]
             w += row_l.get(v, 0)
             row_l[v] = row_v[big] = w
-            if file(big, v, w) == v:
-                self._publish(v)
-        self._publish(big)
+            # file the pair in its owner's row, keyed by _key(w, d_low, scale)
+            pv = pid[v]
+            dv = deg[pv]
+            if dv > d or (dv == d and v > big):
+                row = rows[v]
+                if row is None:
+                    row = rows[v] = []
+                e = (-(w * scale // d), a, big, d, w)
+                heappush(row, e)
+                if row[0] is e:
+                    publish(v)
+            else:
+                row = rows[big]
+                if row is None:
+                    row = rows[big] = []
+                heappush(row, (-(w * scale // dv), pv, v, dv, w))
+        publish(big)
 
     def merge_step(self) -> tuple[int, int]:
         """Merge the lexicographically smallest zero-gain pair.

@@ -3,8 +3,8 @@
 Every comparison that steers control flow (resolution ordering, zero tests
 of merge gains) is done on integer ratios, never on floats.  Python ints
 are unbounded, so cross-multiplied comparisons are always exact.  Values
-become floats only as text, through ``rounded``; exact ints of any length
-become text through ``int_text``.
+become floats only through ``to_float``, which ``rounded`` turns into
+text; exact ints of any length become text through ``int_text``.
 """
 
 from __future__ import annotations
@@ -41,17 +41,23 @@ def too_long(token) -> str | None:
     return None
 
 
-def rounded(x, den: int | None = None, digits: int = 12) -> str:
-    """``x``, or ``x / den`` for an int ``x`` and a positive int ``den``, to
-    ``digits`` significant digits: every printed number rounds here.  Int
-    division is correctly rounded, as ``float`` of a Fraction is, so a pair
-    prints as its Fraction would.  Raises OverflowError when the exact value
+def to_float(x, den: int | None = None) -> float:
+    """The correctly rounded float of ``x``, or of ``x / den`` for an int
+    ``x`` and a positive int ``den`` (int division is correctly rounded, as
+    ``float`` of a Fraction is).  Raises OverflowError when the exact value
     is outside the float range: above the largest float, or nonzero and
-    below ``sys.float_info.min``, where floats lose digits and reach 0."""
+    below ``sys.float_info.min``, where floats lose digits and reach 0.  An
+    exact 0 gives 0.0."""
     f = float(x) if den is None else x / den
     if x and abs(f) <= sys.float_info.min and abs(Fraction(x) / (den or 1)) < sys.float_info.min:
         raise OverflowError("nonzero value too small for a float")
-    return f"{f:.{digits}g}"
+    return f
+
+
+def rounded(x, den: int | None = None, digits: int = 12) -> str:
+    """``to_float(x, den)`` to ``digits`` significant digits: every printed
+    number rounds here, so a pair prints as its Fraction would."""
+    return f"{to_float(x, den):.{digits}g}"
 
 
 def int_text(n: int) -> str:

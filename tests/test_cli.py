@@ -507,9 +507,11 @@ def _call_sites(*names: str) -> set[str]:
 
 
 def test_only_text_output_rounds_to_float():
-    """Library results stay exact: ``float()`` is called only by the one
-    rounding helper and by ``TraceRecord.t``."""
-    assert _call_sites("float") == {"rational.py:rounded", "engine.py:TraceRecord.t"}
+    """Library results stay exact: ``float()`` is called only by
+    ``rational.to_float``, which decides the float range, and that only
+    by the rounding helper and by ``TraceRecord.t``."""
+    assert _call_sites("float") == {"rational.py:to_float"}
+    assert _call_sites("to_float") == {"rational.py:rounded", "engine.py:TraceRecord.t"}
 
 
 def test_engine_builds_fractions_only_when_read():

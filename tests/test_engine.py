@@ -434,6 +434,71 @@ GROWTH_FAMILIES = {"K(2,n)": (_k2n, 512), "wheel": (_wheel, 512),
                    "windmill": (windmill_edges, 320)}
 
 
+class TestRowInvariant:
+    """The rule both filing sites keep, ``_merge``'s loop for moved pairs
+    and ``_file`` for lapsed ones, checked after every merge."""
+
+    @staticmethod
+    def live_slots(eng) -> dict[int, int]:
+        """Public id -> slot of each live community, whose id is a root of
+        the merge forest.  An absorbed slot keeps its last ``_pid`` but loses
+        its ``_adj``; a community no merge touched still lives in the slot of
+        its only vertex."""
+        slots = {p: s for s, p in enumerate(eng._pid) if eng._adj[s] is not None}
+        for root in (v for v, parent in enumerate(eng._parent) if parent == v):
+            slots.setdefault(root, root)
+        assert len(slots) == eng.n - eng.merges
+        return slots
+
+    @staticmethod
+    def weights(eng, s: int) -> dict[int, int]:
+        """Cross weights of live slot s, from the input when no merge wrote them."""
+        if eng._adj[s] is not None:
+            return eng._adj[s]
+        g = eng.graph
+        return {g.nbr[j]: g.wt[j] for j in range(g.off[s], g.off[s + 1])}
+
+    def check(self, eng) -> None:
+        """Every current entry sits in its owner's row under the key of
+        w / d_low; every live pair has an entry with its weight in one of its
+        two rows."""
+        scale = eng.z * eng.z
+        deg, pid, rows = eng.deg, eng._pid, eng._rows
+        slots = self.live_slots(eng)
+        filed = set()
+        for o in slots.values():
+            weights = self.weights(eng, o)
+            for key, p, ps, d, w in rows[o] or ():
+                filed.add((o, ps, w))
+                if deg[p] == d and weights.get(ps) == w:  # current
+                    assert slots[p] == ps
+                    do = deg[pid[o]]
+                    assert do > d or (do == d and o > ps)
+                    assert key == _key(w, d, scale)
+        for o in slots.values():
+            for v, w in self.weights(eng, o).items():
+                assert (o, v, w) in filed or (v, o, w) in filed
+
+    def test_rows_after_every_merge(self, karate):
+        tree = complete_binary_tree(8)
+        label = list(range(tree.n))
+        random.Random(8).shuffle(label)
+        graphs = [karate[0], relabelled(tree.edges(), label),
+                  relabelled(windmill_edges(100), windmill_labels(100, "shuffled", seed=100))]
+        rng = random.Random(35)
+        graphs += [random_graph(rng, rng.randint(2, 30), max_w=rng.choice([1, 9, 2**40]))
+                   for _ in range(100)]
+        merges = 0
+        for g in graphs:
+            eng = SweepEngine(g)
+            self.check(eng)
+            while eng.resolution() > 0:
+                eng.merge_step()
+                self.check(eng)
+            merges += eng.merges
+        assert merges > 2000
+
+
 class TestCounters:
     @pytest.mark.parametrize("family", list(GROWTH_FAMILIES))
     def test_work_per_edge_is_flat_across_doublings(self, family):
@@ -475,11 +540,14 @@ class TestCounters:
     @pytest.mark.parametrize("name, expected", [
         ("karate", (33, 103, 106, 4)),
         ("tree", (2046, 4221, 3194, 5)),
+        ("weighted", (299, 7188, 5111, 40)),
     ])
     def test_exact_counts_of_a_full_sweep(self, karate, name, expected):
         """The counters are deterministic: merges, heap pushes, stale pops
-        and the largest rewiring of a full sweep down to resolution 0."""
-        g = karate[0] if name == "karate" else complete_binary_tree(10)
+        and the largest rewiring of a full sweep down to resolution 0.  A
+        merge of the weighted graph moves up to 40 pairs."""
+        g = {"karate": karate[0], "tree": complete_binary_tree(10),
+             "weighted": random_graph(random.Random(35), 300, p=0.05, max_w=4)}[name]
         eng = SweepEngine(g)
         while eng.resolution() > 0:
             eng.resolution_sweep()
@@ -741,3 +809,18 @@ class TestTraceCsv:
         assert trace[0].t_exact == Fraction(2, 2 * 10**400 + 1)
         with pytest.raises(OverflowError):
             format_trace_csv(trace)
+
+    @pytest.mark.parametrize("digits", [400, 310])
+    def test_record_t_below_float_range(self, digits):
+        """``TraceRecord.t`` raises where the CSV does, not returning 0.0 or
+        a subnormal; an exact 0 stays 0.0."""
+        loop = 10**digits
+        g, _ = load_edge_list(f"a a {loop}\nb b {loop}\na b 1\n")
+        _, trace = detect_communities(g, 1)
+        assert trace[0].t_exact == Fraction(2, 2 * loop + 1)
+        with pytest.raises(OverflowError):
+            trace[0].t
+        eng = SweepEngine(g)
+        while eng.resolution() > 0:
+            eng.resolution_sweep()
+        assert eng.trace[-1].tn == 0 and eng.trace[-1].t == 0.0
