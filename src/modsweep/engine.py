@@ -22,7 +22,7 @@ Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
 Each pair is filed in the candidate row of its owner, the endpoint of
 higher degree (equal degrees go to the higher slot), keyed by
 ``w / d_low``.  Two places file a pair by this rule: ``_merge``'s loop,
-for each pair the absorbed community moves, and ``_file``, for a lapsed
+for each pair the absorbed community moves, and ``_publish``, for a lapsed
 entry filed again.  Degrees only grow, so an owner stays the owner when
 it grows, and its row keeps its order: every ratio in it scales by the same
 factor.  So a community that absorbs many others one at a time never
@@ -47,7 +47,7 @@ Entries are invalidated lazily.  A row entry carries the low endpoint's
 degree and the pair weight it was keyed with, and is current while that
 degree is unchanged.  An entry that is not current is popped when it
 reaches its row's front.  If the pair still has the entry's weight, only
-the partner grew: the entry has lapsed, and ``_file`` files the pair
+the partner grew: the entry has lapsed, and ``_publish`` files the pair
 again under its current owner.  Otherwise the entry is superseded, because
 the merge that grew the weight filed a newer entry in its loop or the pair
 is gone, and it is dropped.  Degrees only grow and a pair is filed again
@@ -159,7 +159,7 @@ class SweepEngine:
     its candidate row, a heap of ``(integer key of w/d_low, partner id,
     partner slot, d_low, w)``, or None before its first pair is filed (see
     the module docstring): ``_merge`` files the pairs it moves in its own
-    loop, and ``_file`` files a lapsed pair again.  ``_adj[slot]`` is None
+    loop, and ``_publish`` files a lapsed pair again.  ``_adj[slot]`` is None
     until the first merge that touches the slot; ``_own`` then builds it
     from the input arrays, keyed by the ints of ``_slots``.  A stale entry
     of a row still None has lapsed.  The sweep never writes its input;
@@ -274,59 +274,52 @@ class SweepEngine:
 
     # -- merging --------------------------------------------------------------
 
-    def _file(self, s: int, v: int, w: int) -> int:
-        """File the pair of slots s and v, of weight w, in its owner's row,
-        keyed by w / d_low.  Only ``_publish`` calls it, for a lapsed pair;
-        ``_merge`` files the pairs it moves by the same rule in its loop.
-
-        Returns the owner's slot when the pair lands at the front of that
-        row, whose published front then needs replacing, and -1 otherwise.
-        """
-        deg = self.deg
-        pid = self._pid
-        ps = pid[s]
-        pv = pid[v]
-        ds = deg[ps]
-        dv = deg[pv]
-        if dv > ds or (dv == ds and v > s):
-            s, v, pv, dv = v, s, ps, ds
-        e = (_key(w, dv, self._scale), pv, v, dv, w)
-        self.heap_pushes += 1
-        row = self._rows[s]
-        if row is None:
-            self._rows[s] = [e]
-            return s
-        heappush(row, e)
-        return s if row[0] is e else -1
-
     def _publish(self, o: int) -> None:
         """Enter the front pair of slot o's row in the global heap.
 
-        Stale fronts are popped first: a lapsed pair is filed again and a
-        superseded one dropped (a row no merge wrote keeps its input
-        weights).  The stamp retires the row's older global entries; an
+        Stale fronts are popped first.  A superseded pair is dropped (a row
+        no merge wrote keeps its input weights).  A lapsed pair is filed
+        again under its owner, keyed by w / d_low, the rule ``_merge``'s
+        loop files by; a partner row where it lands in front is published
+        at once.  The stamp retires the row's older global entries; an
         emptied row publishes nothing.
         """
-        row = self._rows[o]
+        rows = self._rows
+        row = rows[o]
         deg = self.deg
+        pid = self._pid
         stamps = self._stamp
         weights = self._adj[o]
+        po = pid[o]
+        do = deg[po]
         while row:
             e = row[0]
             if deg[e[1]] == e[3]:
                 break
             _, _, s, _, w = heappop(row)
             self.stale_pops += 1
-            if (weights is None or weights.get(s) == w) and self._file(o, s, w) == s:
-                self._publish(s)
+            if weights is not None and weights.get(s) != w:
+                continue
+            self.heap_pushes += 1
+            ps = pid[s]
+            ds = deg[ps]
+            if ds > do or (ds == do and s > o):
+                row_s = rows[s]
+                if row_s is None:
+                    row_s = rows[s] = []
+                e = (_key(w, do, self._scale), po, o, do, w)
+                heappush(row_s, e)
+                if row_s[0] is e:
+                    self._publish(s)
+            else:
+                heappush(row, (_key(w, ds, self._scale), ps, s, ds, w))
         else:
             stamps[o] += 1
             return
         stamps[o] = stamp = stamps[o] + 1
-        po = self._pid[o]
         _, p, _, d, w = e
         lo, hi = (po, p) if po < p else (p, po)
-        heappush(self._heap, (_key(w, d * deg[po], self._gscale), lo, hi, o, stamp))
+        heappush(self._heap, (_key(w, d * do, self._gscale), lo, hi, o, stamp))
         self.heap_pushes += 1
 
     def _own(self, s: int) -> dict[int, int]:
@@ -344,9 +337,9 @@ class SweepEngine:
         Caller guarantees the pair has zero gain at the current resolution.
         The smaller adjacency row moves into the larger one, and the loop
         files each of its pairs again under its owner with the merged
-        community, as ``_file`` would, reading the merged community's id
-        and degree once; a neighbour's row where that pair lands in front
-        is republished at once.
+        community, as ``_publish`` files a lapsed pair, reading the merged
+        community's id and degree once; a neighbour's row where that pair
+        lands in front is republished at once.
         Pairs where the larger side was the low endpoint keep their keys
         until they reach the front of their row.  Then the grown row, whose
         ratios all fell, is republished.

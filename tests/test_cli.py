@@ -597,6 +597,14 @@ def test_only_own_reads_the_graph_arrays():
     assert set(_scopes(ast.parse(src.read_text()), array_read)) == {"SweepEngine._own"}
 
 
+def test_two_places_file_a_candidate_pair():
+    """Inside ``engine.py`` only ``SweepEngine._merge``, for the pairs a merge
+    moves, and ``SweepEngine._publish``, for a lapsed pair and a row's global
+    entry, push onto a heap, so a third place that files a pair shows here."""
+    sites = {site for site in _call_sites("heappush") if site.startswith("engine.py:")}
+    assert sites == {"engine.py:SweepEngine._merge", "engine.py:SweepEngine._publish"}
+
+
 def test_one_aggregate_builder():
     """Block aggregates are built only by ``CommunityAggregates.from_partition``,
     which calls ``cls``; no function hands the class a quotient of its own."""

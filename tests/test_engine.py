@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from modsweep import (
     CommunityAggregates,
@@ -436,7 +436,7 @@ GROWTH_FAMILIES = {"K(2,n)": (_k2n, 512), "wheel": (_wheel, 512),
 
 class TestRowInvariant:
     """The rule both filing sites keep, ``_merge``'s loop for moved pairs
-    and ``_file`` for lapsed ones, checked after every merge."""
+    and ``_publish`` for lapsed ones, checked after every merge."""
 
     @staticmethod
     def live_slots(eng) -> dict[int, int]:
@@ -499,6 +499,42 @@ class TestRowInvariant:
         assert merges > 2000
 
 
+class TestMetamorphic:
+    """Transformations of the input that leave every ratio the sweep compares
+    unchanged leave its result unchanged too."""
+
+    @staticmethod
+    def result(edges) -> tuple:
+        """The partition and each record's ``(k, t_exact, q_1, alpha)`` of a
+        sweep; ``detect`` prints ``z``, so the library result is compared."""
+        part, trace = detect_communities(Graph.from_edge_list(edges), Fraction(1, 2**200))
+        return part.assign, [(r.k, r.t_exact, r.q_1, r.alpha) for r in trace]
+
+    def test_scaled_and_split_weights(self, karate):
+        """Multiplying every weight by one constant, up to 10**60, or
+        splitting each weight above 1 over two duplicate lines in shuffled
+        order, keeps the partition and the trace, on karate and on 40
+        seeded graphs with loops and weights up to 2**40."""
+        rng = random.Random(19)
+        graphs = [karate[0]] + [random_graph(rng, rng.randint(2, 30), max_w=2**40)
+                                for _ in range(40)]
+        for g in graphs:
+            # ``edges`` gives a loop's doubled diagonal; a loop line adds twice its weight
+            edges = [(u, v, w // 2 if u == v else w) for u, v, w in g.edges()]
+            expected = self.result(edges)
+            for c in (7, 10**6, 10**18, 10**60):
+                assert self.result([(u, v, c * w) for u, v, w in edges]) == expected
+            split = []
+            for u, v, w in edges:
+                if w > 1:
+                    a = rng.randint(1, w - 1)
+                    split += [(u, v, a), (v, u, w - a)]
+                else:
+                    split.append((u, v, w))
+            rng.shuffle(split)
+            assert self.result(split) == expected
+
+
 class TestCounters:
     @pytest.mark.parametrize("family", list(GROWTH_FAMILIES))
     def test_work_per_edge_is_flat_across_doublings(self, family):
@@ -536,6 +572,41 @@ class TestCounters:
         assert all(b <= 2.5 * a for a, b in zip(pushes, pushes[1:]))
         # a lapsed pair filed again and again would show here
         assert all(b <= 2.5 * a for a, b in zip(stale, stale[1:]))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29), st.integers(1, 8)),
+                    min_size=1, max_size=90))
+    def test_searched_publish_depth_and_work(self, triples):
+        """A search over edge lists on at most 30 vertices, weights 1 to 8,
+        for deep ``_publish`` recursion and heap work per edge.  A lapsed
+        pair filed in front of its partner's row publishes that row from
+        inside ``_publish``; the nesting stays at most 3 deep, and a full
+        sweep does at most 10 heap pushes and stale pops per distinct pair.
+        The most a 3,000-example search found is depth 2 and 6.95 per pair."""
+        names = {v: i for i, v in enumerate(sorted({x for u, v, _ in triples for x in (u, v)}))}
+        g = Graph.from_edge_list([(names[u], names[v], w) for u, v, w in triples])
+        eng = SweepEngine(g)
+        publish = eng._publish
+        depth = deepest = 0
+
+        def nested(o):
+            nonlocal depth, deepest
+            depth += 1
+            deepest = max(deepest, depth)
+            try:
+                publish(o)
+            finally:
+                depth -= 1
+
+        # ``_merge``, ``_refill`` and the recursion all call it through the instance
+        eng._publish = nested
+        while eng.resolution() > 0:
+            eng.resolution_sweep()
+        per_pair = (eng.heap_pushes + eng.stale_pops) / max(1, sum(u != v for u, v, _ in g.edges()))
+        target(deepest, label="publish depth")
+        target(per_pair, label="heap work per pair")
+        assert deepest <= 3
+        assert per_pair <= 10
 
     @pytest.mark.parametrize("name, expected", [
         ("karate", (33, 103, 106, 4)),
