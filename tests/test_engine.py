@@ -219,6 +219,15 @@ class TestDetect:
         assert part == Partition([0, 0, 0, 1, 1, 1])
         assert modularity(two_triangles, part, Fraction(1)) == Fraction(1, 2)
 
+    def test_karate_q1_below_the_published_optimum(self, karate):
+        """Karate's sweep q1 at t = 1 is pinned exactly.  It lies below the
+        published optimum, 0.4198 (Brandes et al. 2008, IEEE TKDE 20(2)),
+        the one reference here beyond the oracle's reach."""
+        g, _ = karate
+        part, trace = detect_communities(g, 1)
+        assert modularity(g, part, Fraction(1)) == trace[-1].q_1 == Fraction(616, 1521)
+        assert trace[-1].q_1 < Fraction("0.4198")
+
     def test_returns_singletons_when_resolution_already_low(self):
         g = Graph.from_edge_list(TWO_TRIANGLES_EDGES)
         part, trace = detect_communities(g, 100)
@@ -427,6 +436,23 @@ def _star_of_stars(s, leaves=4):
         (1 + i, 1 + s + leaves * i + j, 1) for i in range(s) for j in range(leaves)]
 
 
+def _preferential_attachment(n, rng, m=3):
+    """A K4 joined by each further vertex to m distinct earlier ones, each
+    drawn uniformly over the ends of the edges so far; labels shuffled."""
+    edges = [(a, b, 1) for a in range(4) for b in range(a + 1, 4)]
+    ends = [x for u, v, _ in edges for x in (u, v)]
+    for v in range(4, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(ends))
+        for u in sorted(targets):
+            edges.append((u, v, 1))
+            ends += (u, v)
+    label = list(range(n))
+    rng.shuffle(label)
+    return [(label[u], label[v], w) for u, v, w in edges]
+
+
 # each family's edge list at size s, and its first size: about 1,000 edges
 GROWTH_FAMILIES = {"K(2,n)": (_k2n, 512), "wheel": (_wheel, 512),
                    "caterpillar": (_caterpillar, 512), "ring of K4s": (_ring_of_k4s, 128),
@@ -435,8 +461,9 @@ GROWTH_FAMILIES = {"K(2,n)": (_k2n, 512), "wheel": (_wheel, 512),
 
 
 class TestRowInvariant:
-    """The rule both filing sites keep, ``_merge``'s loop for moved pairs
-    and ``_publish`` for lapsed ones, checked after every merge."""
+    """What the rows keep after every merge: ``_merge``'s loop files the
+    pairs it moves, and ``_publish`` re-keys a lapsed pair in the row that
+    holds it, so a pair may sit in either endpoint's row."""
 
     @staticmethod
     def live_slots(eng) -> dict[int, int]:
@@ -459,9 +486,10 @@ class TestRowInvariant:
         return {g.nbr[j]: g.wt[j] for j in range(g.off[s], g.off[s + 1])}
 
     def check(self, eng) -> None:
-        """Every current entry sits in its owner's row under the key of
-        w / d_low; every live pair has an entry with its weight in one of its
-        two rows."""
+        """Every current entry carries the key of w over its partner's
+        degree; an entry whose weight is still its pair's weight never sorts
+        after its pair's current ratio, since degrees only grow; and every
+        live pair has an entry with its weight in one of its two rows."""
         scale = eng.z * eng.z
         deg, pid, rows = eng.deg, eng._pid, eng._rows
         slots = self.live_slots(eng)
@@ -470,11 +498,11 @@ class TestRowInvariant:
             weights = self.weights(eng, o)
             for key, p, ps, d, w in rows[o] or ():
                 filed.add((o, ps, w))
-                if deg[p] == d and weights.get(ps) == w:  # current
-                    assert slots[p] == ps
-                    do = deg[pid[o]]
-                    assert do > d or (do == d and o > ps)
-                    assert key == _key(w, d, scale)
+                if weights.get(ps) == w:
+                    assert key <= _key(w, deg[pid[ps]], scale)
+                    if deg[p] == d:  # current
+                        assert slots[p] == ps
+                        assert key == _key(w, d, scale)
         for o in slots.values():
             for v, w in self.weights(eng, o).items():
                 assert (o, v, w) in filed or (v, o, w) in filed
@@ -554,6 +582,20 @@ class TestCounters:
             per_edge.append((eng.heap_pushes + eng.stale_pops) / len(edges))
         assert all(b <= 1.15 * a for a, b in zip(per_edge, per_edge[1:])), per_edge
 
+    def test_preferential_attachment_work_per_edge(self):
+        """On preferential attachment (m = 3) heap work per edge grows, but
+        at most 1.3 times per doubling from 334 to 2,672 vertices (about
+        1,000 to 8,000 edges).  Over 40 seeds the most measured is 1.25
+        times; a quadratic path would double it."""
+        per_edge = []
+        for n in (334, 668, 1336, 2672):
+            edges = _preferential_attachment(n, random.Random(f"pa/0/{n}"))
+            eng = SweepEngine(Graph.from_edge_list(edges))
+            while eng.resolution() > 0:
+                eng.resolution_sweep()
+            per_edge.append((eng.heap_pushes + eng.stale_pops) / len(edges))
+        assert all(b <= 1.3 * a for a, b in zip(per_edge, per_edge[1:])), per_edge
+
     @pytest.mark.parametrize("order", ["first", "last", "shuffled"])
     def test_windmill_work_grows_subquadratically(self, order):
         """A hub that absorbs its blades one at a time: heap work grows about
@@ -576,42 +618,24 @@ class TestCounters:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29), st.integers(1, 8)),
                     min_size=1, max_size=90))
-    def test_searched_publish_depth_and_work(self, triples):
+    def test_searched_heap_work_per_pair(self, triples):
         """A search over edge lists on at most 30 vertices, weights 1 to 8,
-        for deep ``_publish`` recursion and heap work per edge.  A lapsed
-        pair filed in front of its partner's row publishes that row from
-        inside ``_publish``; the nesting stays at most 3 deep, and a full
-        sweep does at most 10 heap pushes and stale pops per distinct pair.
-        The most a 3,000-example search found is depth 2 and 6.95 per pair."""
+        for heap work per pair: a full sweep does at most 10 heap pushes and
+        stale pops per distinct pair.  The most a 3,000-example search found
+        is 5.5 per pair."""
         names = {v: i for i, v in enumerate(sorted({x for u, v, _ in triples for x in (u, v)}))}
         g = Graph.from_edge_list([(names[u], names[v], w) for u, v, w in triples])
         eng = SweepEngine(g)
-        publish = eng._publish
-        depth = deepest = 0
-
-        def nested(o):
-            nonlocal depth, deepest
-            depth += 1
-            deepest = max(deepest, depth)
-            try:
-                publish(o)
-            finally:
-                depth -= 1
-
-        # ``_merge``, ``_refill`` and the recursion all call it through the instance
-        eng._publish = nested
         while eng.resolution() > 0:
             eng.resolution_sweep()
         per_pair = (eng.heap_pushes + eng.stale_pops) / max(1, sum(u != v for u, v, _ in g.edges()))
-        target(deepest, label="publish depth")
         target(per_pair, label="heap work per pair")
-        assert deepest <= 3
         assert per_pair <= 10
 
     @pytest.mark.parametrize("name, expected", [
-        ("karate", (33, 103, 106, 4)),
-        ("tree", (2046, 4221, 3194, 5)),
-        ("weighted", (299, 7188, 5111, 40)),
+        ("karate", (33, 103, 105, 4)),
+        ("tree", (2046, 3928, 2814, 5)),
+        ("weighted", (299, 6969, 4424, 40)),
     ])
     def test_exact_counts_of_a_full_sweep(self, karate, name, expected):
         """The counters are deterministic: merges, heap pushes, stale pops
@@ -644,7 +668,7 @@ class TestCounters:
             runs.append((eng.merges, eng.heap_pushes, eng.stale_pops, eng.max_rewired,
                          eng.partition().assign, [r.t_exact for r in eng.trace]))
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
-            "88da386d814df8f36d54df0bab0c744542bb695bf0590f5cecbb9b0b55d174d9")
+            "e437e24cc9eedaa119d2b6508ecf9da4266c72a32efd1febc21956ecda9e4df1")
 
     @pytest.mark.parametrize("name", ["karate", "tree"])
     def test_max_group_is_the_largest_drop_in_k(self, karate, name):
