@@ -18,24 +18,25 @@ so ``detect_communities`` runs at any resolution; only ``TraceRecord.t``
 and ``format_trace_csv`` round.  Both raise ``OverflowError`` outside the
 float range, above it or nonzero below ``sys.float_info.min``.
 
-Orientation: the ratio of an adjacent pair is ``z*w / (d_partner *
-d_owner)``.  Each pair sits in the candidate row of one endpoint, its
-owner, keyed by ``w / d_partner``.  The owner's own growth scales every
-ratio in its row by the same factor, so the row keeps its order, and a key
-taken from current degrees can only overestimate later, because degrees
-only grow.  So correctness never depends on which endpoint holds a pair;
-holding it at the endpoint of higher degree only saves work.  ``_merge``
-files the pairs it moves by that rule (equal degrees go to the higher
-slot), as ``__init__`` does, so a community that absorbs many others one
-at a time never re-keys its own row.  The pairs where it is the partner
-keep their old keys, which now overestimate their ratios; ``_publish``
-re-keys each where it sits, only when it reaches the front of its row.
+Orientation: the ratio of an adjacent pair is ``z*w / (d_low * d_owner)``.
+Each pair is filed in the candidate row of its owner, the endpoint of
+higher degree (equal degrees go to the higher slot), keyed by
+``w / d_low``.  Two places file a pair by this rule: ``_merge``'s loop,
+for each pair the absorbed community moves, and ``_publish``, for a lapsed
+entry filed again.  The second is what bounds re-keys: re-keyed in the row
+of its low endpoint, a pair would lapse again at every merge of its
+partner.  Degrees only grow, so an owner stays the owner when
+it grows, and its row keeps its order: every ratio in it scales by the same
+factor.  So a community that absorbs many others one at a time never
+re-keys its own row.  The pairs where it was the low endpoint keep their
+old keys, which now overestimate their ratios; each is re-keyed only when
+it reaches the front of its row.
 
 Two levels: a row is a heap ordered by row key, then partner id.  Within a
 row the partner order is the lexicographic order of the pairs, so a current
 front is the row's lexicographically smallest pair at its exact maximum
 ratio.  A global heap holds one entry per row for that pair: the key of
-``w / (d_partner * d_owner)`` (``z`` is common to every ratio and left out),
+``w / (d_low * d_owner)`` (``z`` is common to every ratio and left out),
 then the pair.  So the heap orders rows by largest ratio, then smallest
 pair, and its front is the lexicographically smallest zero pair overall.
 
@@ -44,16 +45,16 @@ endpoint whose adjacency row is larger and moves only the smaller row into
 it.  A community's public id, used by every argument and result, is its
 smallest member id; an absorbed id links to its absorber.
 
-Entries are invalidated lazily.  A row entry carries the partner's degree
-and the pair weight it was keyed with, and is current while that degree
-is unchanged.  An entry that is not current is popped when it reaches its
-row's front.  If the pair still has the entry's weight, only the partner
-grew: the entry has lapsed, and ``_publish`` pushes it back into the same
-row, keyed by the partner's current degree.  Otherwise the entry is
-superseded, because the merge that grew the weight filed a newer entry in
-its loop or the pair is gone, and it is dropped.  Degrees only grow and a
-pair is filed again as soon as its weight grows, so no stored key
-underestimates its pair's current ratio.
+Entries are invalidated lazily.  A row entry carries the low endpoint's
+degree and the pair weight it was keyed with, and is current while that
+degree is unchanged.  An entry that is not current is popped when it
+reaches its row's front.  If the pair still has the entry's weight, only
+the partner grew: the entry has lapsed, and ``_publish`` files the pair
+again under its current owner.  Otherwise the entry is superseded, because
+the merge that grew the weight filed a newer entry in its loop or the pair
+is gone, and it is dropped.  Degrees only grow and a pair is filed again
+as soon as its weight grows, so no stored key underestimates its pair's
+current ratio.
 A row enters the global heap only with a current front, whenever its
 owner grows or a pair is filed in front of it, and a row whose published
 front has since gone stale is republished when its entry reaches the
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .errors import IllegalStateError
@@ -83,10 +84,10 @@ def _key(num: int, den: int, scale: int) -> int:
     """Heap key that orders ratios num/den exactly, largest first.
 
     ``scale`` is B*B, where B bounds every denominator the heap holds: z
-    for row keys w/d_partner, z**2 for global keys w/(d_partner*d_owner).
-    Two distinct ratios with denominators at most B differ by at least
-    1/B**2, so their scaled floors differ by at least 1; equal ratios get
-    equal keys.
+    for row keys w/d_low, z**2 for global keys w/(d_low*d_owner).  Two
+    distinct ratios with denominators at most B differ by at least 1/B**2,
+    so their scaled floors differ by at least 1; equal ratios get equal
+    keys.
     """
     return -(num * scale // den)
 
@@ -157,19 +158,19 @@ class SweepEngine:
     diagonal summed; ``deg_sq`` is the sum of squared community degrees.
     The trace reads these two sums; any other score of the partition comes
     from ``CommunityAggregates`` on ``partition()``.  ``_rows[slot]`` is
-    its candidate row, a heap of ``(integer key of w/d_partner, partner id,
-    partner slot, d_partner, w)``, or None before its first pair is filed
-    (see the module docstring): ``_merge`` files the pairs it moves in its
-    own loop, and ``_publish`` re-keys a lapsed pair where it sits.
-    ``_adj[slot]`` is None until the first merge that touches the slot;
-    ``_own`` then builds it from the input arrays, keyed by the ints of
-    ``_slots``.  A stale entry of a row still None has lapsed.  The sweep
-    never writes its input; ``check_stable`` reads it.
+    its candidate row, a heap of ``(integer key of w/d_low, partner id,
+    partner slot, d_low, w)``, or None before its first pair is filed (see
+    the module docstring): ``_merge`` files the pairs it moves in its own
+    loop, and ``_publish`` files a lapsed pair again.  ``_adj[slot]`` is None
+    until the first merge that touches the slot; ``_own`` then builds it
+    from the input arrays, keyed by the ints of ``_slots``.  A stale entry
+    of a row still None has lapsed.  The sweep never writes its input;
+    ``check_stable`` reads it.
 
     Counters, all plain ints: ``merges``; ``max_group``, the most merges in
     one ``resolution_sweep``; ``heap_pushes``, entries pushed one at a time
     into the candidate rows and the global heap; ``stale_pops``, invalidated
-    entries popped, lapsed row entries re-keyed among them; and
+    entries popped, lapsed row entries filed again among them; and
     ``max_rewired``, the most adjacency entries moved in one merge.
     """
 
@@ -279,33 +280,49 @@ class SweepEngine:
         """Enter the front pair of slot o's row in the global heap.
 
         Stale fronts are popped first.  A superseded pair is dropped (a row
-        no merge wrote keeps its input weights).  A lapsed pair goes back
-        into this row, keyed by w over its partner's current degree.  The
-        stamp retires the row's older global entries; an emptied row
-        publishes nothing.
+        no merge wrote keeps its input weights).  A lapsed pair is filed
+        again under its owner, keyed by w / d_low, the rule ``_merge``'s
+        loop files by; a partner row where it lands in front is published
+        at once.  The stamp retires the row's older global entries; an
+        emptied row publishes nothing.
         """
-        row = self._rows[o]
+        rows = self._rows
+        row = rows[o]
         deg = self.deg
         pid = self._pid
+        stamps = self._stamp
         weights = self._adj[o]
+        po = pid[o]
+        do = deg[po]
         while row:
-            _, p, s, d, w = row[0]
-            if deg[p] == d:
+            e = row[0]
+            if deg[e[1]] == e[3]:
                 break
+            _, _, s, _, w = heappop(row)
             self.stale_pops += 1
             if weights is not None and weights.get(s) != w:
-                heappop(row)
                 continue
-            p = pid[s]
-            d = deg[p]
-            heapreplace(row, (_key(w, d, self._scale), p, s, d, w))
             self.heap_pushes += 1
-        stamp = self._stamp[o] = self._stamp[o] + 1
-        if row:
-            po = pid[o]
-            lo, hi = (po, p) if po < p else (p, po)
-            heappush(self._heap, (_key(w, d * deg[po], self._gscale), lo, hi, o, stamp))
-            self.heap_pushes += 1
+            ps = pid[s]
+            ds = deg[ps]
+            if ds > do or (ds == do and s > o):
+                row_s = rows[s]
+                if row_s is None:
+                    row_s = rows[s] = []
+                e = (_key(w, do, self._scale), po, o, do, w)
+                heappush(row_s, e)
+                if row_s[0] is e:
+                    self._publish(s)
+            else:
+                heappush(row, (_key(w, ds, self._scale), ps, s, ds, w))
+        else:
+            stamps[o] += 1
+            return
+        stamps[o] = stamp = stamps[o] + 1
+        _, p, _, d, w = e
+        lo, hi = (po, p) if po < p else (p, po)
+        heappush(self._heap, (_key(w, d * do, self._gscale), lo, hi, o, stamp))
+        self.heap_pushes += 1
 
     def _own(self, s: int) -> dict[int, int]:
         """Build slot s's row from the input arrays, keyed by the slot ints."""
@@ -321,10 +338,11 @@ class SweepEngine:
 
         Caller guarantees the pair has zero gain at the current resolution.
         The smaller adjacency row moves into the larger one, and the loop
-        files each of its pairs again in the row of the endpoint of higher
-        degree, reading the merged community's id and degree once; a
-        neighbour's row where that pair lands in front is republished at
-        once.  Pairs where the larger side was the partner keep their keys
+        files each of its pairs again under its owner with the merged
+        community, as ``_publish`` files a lapsed pair, reading the merged
+        community's id and degree once; a neighbour's row where that pair
+        lands in front is republished at once.
+        Pairs where the larger side was the low endpoint keep their keys
         until they reach the front of their row.  Then the grown row, whose
         ratios all fell, is republished.
         """
@@ -370,8 +388,7 @@ class SweepEngine:
             del row_v[small]
             w += row_l.get(v, 0)
             row_l[v] = row_v[big] = w
-            # file the pair in the row of its higher-degree end, keyed by
-            # _key(w, d_partner, scale)
+            # file the pair in its owner's row, keyed by _key(w, d_low, scale)
             pv = pid[v]
             dv = deg[pv]
             if dv > d or (dv == d and v > big):

@@ -599,19 +599,11 @@ def test_only_own_reads_the_graph_arrays():
 
 def test_two_places_file_a_candidate_pair():
     """Inside ``engine.py`` only ``SweepEngine._merge``, for the pairs a merge
-    moves, and ``SweepEngine._publish``, for a row's global entry, push onto
-    a heap; ``_publish`` puts a re-keyed lapsed entry back into its own row
-    in place.  So a third place that files a pair shows here."""
-    sites = {site for site in _call_sites("heappush") if site.startswith("engine.py:")}
+    moves, and ``SweepEngine._publish``, for a lapsed pair and a row's global
+    entry, push onto a heap, so a third place that files a pair shows here."""
+    sites = {site for site in _call_sites("heappush", "heapreplace")
+             if site.startswith("engine.py:")}
     assert sites == {"engine.py:SweepEngine._merge", "engine.py:SweepEngine._publish"}
-
-
-def test_publish_does_not_recurse():
-    """``_publish`` re-keys a lapsed pair in the row that holds it, so only
-    ``_refill`` and ``_merge`` publish a row, and no publication nests
-    inside another."""
-    assert _call_sites("self._publish", "publish") == {
-        "engine.py:SweepEngine._refill", "engine.py:SweepEngine._merge"}
 
 
 def test_one_aggregate_builder():

@@ -436,9 +436,18 @@ def _star_of_stars(s, leaves=4):
         (1 + i, 1 + s + leaves * i + j, 1) for i in range(s) for j in range(leaves)]
 
 
-def _preferential_attachment(n, rng, m=3):
+def _reverse_hub(s):
+    """A hub of degree 2s joined to s partners of degree 2s + 1, which own
+    their pairs with it, and to s neighbours of degree 2s - 1, which it
+    absorbs one at a time before any partner merges."""
+    return [e for i in range(s) for e in (
+        (0, 1 + i, 1), (1 + i, 1 + i, s), (0, 1 + s + i, 1), (1 + s + i, 1 + s + i, s - 1))]
+
+
+def _preferential_attachment(n, m=3):
     """A K4 joined by each further vertex to m distinct earlier ones, each
-    drawn uniformly over the ends of the edges so far; labels shuffled."""
+    drawn uniformly over the ends of the edges so far (seeded by n)."""
+    rng = random.Random(f"pa/{n}")
     edges = [(a, b, 1) for a in range(4) for b in range(a + 1, 4)]
     ends = [x for u, v, _ in edges for x in (u, v)]
     for v in range(4, n):
@@ -448,22 +457,23 @@ def _preferential_attachment(n, rng, m=3):
         for u in sorted(targets):
             edges.append((u, v, 1))
             ends += (u, v)
-    label = list(range(n))
-    rng.shuffle(label)
-    return [(label[u], label[v], w) for u, v, w in edges]
+    return edges
 
 
-# each family's edge list at size s, and its first size: about 1,000 edges
-GROWTH_FAMILIES = {"K(2,n)": (_k2n, 512), "wheel": (_wheel, 512),
-                   "caterpillar": (_caterpillar, 512), "ring of K4s": (_ring_of_k4s, 128),
-                   "grid": (_grid, 32), "star of stars": (_star_of_stars, 192),
-                   "windmill": (windmill_edges, 320)}
+# each family's edge list at size s, its first size (about 1,000 edges) and
+# the most its work per edge may grow per doubling
+GROWTH_FAMILIES = {"K(2,n)": (_k2n, 512, 1.15), "wheel": (_wheel, 512, 1.15),
+                   "caterpillar": (_caterpillar, 512, 1.15),
+                   "ring of K4s": (_ring_of_k4s, 128, 1.15), "grid": (_grid, 32, 1.15),
+                   "star of stars": (_star_of_stars, 192, 1.15),
+                   "windmill": (windmill_edges, 320, 1.15),
+                   "reverse hub": (_reverse_hub, 250, 1.15),
+                   "preferential attachment": (_preferential_attachment, 334, 1.3)}
 
 
 class TestRowInvariant:
-    """What the rows keep after every merge: ``_merge``'s loop files the
-    pairs it moves, and ``_publish`` re-keys a lapsed pair in the row that
-    holds it, so a pair may sit in either endpoint's row."""
+    """The rule both filing sites keep, ``_merge``'s loop for moved pairs
+    and ``_publish`` for lapsed ones, checked after every merge."""
 
     @staticmethod
     def live_slots(eng) -> dict[int, int]:
@@ -486,10 +496,10 @@ class TestRowInvariant:
         return {g.nbr[j]: g.wt[j] for j in range(g.off[s], g.off[s + 1])}
 
     def check(self, eng) -> None:
-        """Every current entry carries the key of w over its partner's
-        degree; an entry whose weight is still its pair's weight never sorts
-        after its pair's current ratio, since degrees only grow; and every
-        live pair has an entry with its weight in one of its two rows."""
+        """Every current entry sits in its owner's row under the key of
+        w / d_low; an entry whose weight is still its pair's weight never
+        sorts after its pair's current ratio; every live pair has an entry
+        with its weight in one of its two rows."""
         scale = eng.z * eng.z
         deg, pid, rows = eng.deg, eng._pid, eng._rows
         slots = self.live_slots(eng)
@@ -500,9 +510,11 @@ class TestRowInvariant:
                 filed.add((o, ps, w))
                 if weights.get(ps) == w:
                     assert key <= _key(w, deg[pid[ps]], scale)
-                    if deg[p] == d:  # current
-                        assert slots[p] == ps
-                        assert key == _key(w, d, scale)
+                if deg[p] == d and weights.get(ps) == w:  # current
+                    assert slots[p] == ps
+                    do = deg[pid[o]]
+                    assert do > d or (do == d and o > ps)
+                    assert key == _key(w, d, scale)
         for o in slots.values():
             for v, w in self.weights(eng, o).items():
                 assert (o, v, w) in filed or (v, o, w) in filed
@@ -569,8 +581,10 @@ class TestCounters:
         """Heap work per edge, ``(heap_pushes + stale_pops) / m``, of a full
         sweep of a seeded relabelling grows at most 1.15 times per doubling
         of the family's size, over three doublings.  The most measured is
-        1.02 times (grid); a quadratic path would double it."""
-        edges_of, size = GROWTH_FAMILIES[family]
+        1.02 times (grid).  Preferential attachment's work per edge does
+        grow, and is allowed 1.3 times.  A quadratic path would double it,
+        as re-keying a lapsed pair where it sits does on the reverse hub."""
+        edges_of, size, bound = GROWTH_FAMILIES[family]
         per_edge = []
         for s in (size, 2 * size, 4 * size, 8 * size):
             edges = edges_of(s)
@@ -580,21 +594,7 @@ class TestCounters:
             while eng.resolution() > 0:
                 eng.resolution_sweep()
             per_edge.append((eng.heap_pushes + eng.stale_pops) / len(edges))
-        assert all(b <= 1.15 * a for a, b in zip(per_edge, per_edge[1:])), per_edge
-
-    def test_preferential_attachment_work_per_edge(self):
-        """On preferential attachment (m = 3) heap work per edge grows, but
-        at most 1.3 times per doubling from 334 to 2,672 vertices (about
-        1,000 to 8,000 edges).  Over 40 seeds the most measured is 1.25
-        times; a quadratic path would double it."""
-        per_edge = []
-        for n in (334, 668, 1336, 2672):
-            edges = _preferential_attachment(n, random.Random(f"pa/0/{n}"))
-            eng = SweepEngine(Graph.from_edge_list(edges))
-            while eng.resolution() > 0:
-                eng.resolution_sweep()
-            per_edge.append((eng.heap_pushes + eng.stale_pops) / len(edges))
-        assert all(b <= 1.3 * a for a, b in zip(per_edge, per_edge[1:])), per_edge
+        assert all(b <= bound * a for a, b in zip(per_edge, per_edge[1:])), per_edge
 
     @pytest.mark.parametrize("order", ["first", "last", "shuffled"])
     def test_windmill_work_grows_subquadratically(self, order):
@@ -618,24 +618,42 @@ class TestCounters:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29), st.integers(1, 8)),
                     min_size=1, max_size=90))
-    def test_searched_heap_work_per_pair(self, triples):
+    def test_searched_publish_depth_and_work(self, triples):
         """A search over edge lists on at most 30 vertices, weights 1 to 8,
-        for heap work per pair: a full sweep does at most 10 heap pushes and
-        stale pops per distinct pair.  The most a 3,000-example search found
-        is 5.5 per pair."""
+        for deep ``_publish`` recursion and heap work per edge.  A lapsed
+        pair filed in front of its partner's row publishes that row from
+        inside ``_publish``; the nesting stays at most 3 deep, and a full
+        sweep does at most 10 heap pushes and stale pops per distinct pair.
+        The most a 3,000-example search found is depth 2 and 6.95 per pair."""
         names = {v: i for i, v in enumerate(sorted({x for u, v, _ in triples for x in (u, v)}))}
         g = Graph.from_edge_list([(names[u], names[v], w) for u, v, w in triples])
         eng = SweepEngine(g)
+        publish = eng._publish
+        depth = deepest = 0
+
+        def nested(o):
+            nonlocal depth, deepest
+            depth += 1
+            deepest = max(deepest, depth)
+            try:
+                publish(o)
+            finally:
+                depth -= 1
+
+        # ``_merge``, ``_refill`` and the recursion all call it through the instance
+        eng._publish = nested
         while eng.resolution() > 0:
             eng.resolution_sweep()
         per_pair = (eng.heap_pushes + eng.stale_pops) / max(1, sum(u != v for u, v, _ in g.edges()))
+        target(deepest, label="publish depth")
         target(per_pair, label="heap work per pair")
+        assert deepest <= 3
         assert per_pair <= 10
 
     @pytest.mark.parametrize("name, expected", [
-        ("karate", (33, 103, 105, 4)),
-        ("tree", (2046, 3928, 2814, 5)),
-        ("weighted", (299, 6969, 4424, 40)),
+        ("karate", (33, 103, 106, 4)),
+        ("tree", (2046, 4221, 3194, 5)),
+        ("weighted", (299, 7188, 5111, 40)),
     ])
     def test_exact_counts_of_a_full_sweep(self, karate, name, expected):
         """The counters are deterministic: merges, heap pushes, stale pops
@@ -649,12 +667,14 @@ class TestCounters:
         assert (eng.merges, eng.heap_pushes, eng.stale_pops, eng.max_rewired) == expected
 
     def test_exact_counts_on_graphs_with_loops(self):
-        """Loops do not move the counters: one digest of the counters, the
-        final partition and the exact trace of full sweeps on 200 seeded
-        graphs of 2 to 40 vertices, weights 1 to 9, with a ring through every
-        vertex and random pairs and loops on top."""
+        """Loops do not move the counters: full sweeps on 200 seeded graphs
+        of 2 to 40 vertices, weights 1 to 9, with a ring through every vertex
+        and random pairs and loops on top.  One digest pins the final
+        partitions and exact traces, which no change to the bookkeeping may
+        move, and one the counters."""
         rng = random.Random(59)
         runs = []
+        counts = []
         for _ in range(200):
             n = rng.randint(2, 40)
             edges = [(v, (v + 1) % n, rng.randint(1, 9)) for v in range(n)]
@@ -665,10 +685,12 @@ class TestCounters:
             eng.record_trace()
             while eng.resolution() > 0:
                 eng.resolution_sweep()
-            runs.append((eng.merges, eng.heap_pushes, eng.stale_pops, eng.max_rewired,
-                         eng.partition().assign, [r.t_exact for r in eng.trace]))
+            runs.append((eng.partition().assign, [r.t_exact for r in eng.trace]))
+            counts.append((eng.merges, eng.heap_pushes, eng.stale_pops, eng.max_rewired))
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
-            "e437e24cc9eedaa119d2b6508ecf9da4266c72a32efd1febc21956ecda9e4df1")
+            "013007ab79f18c6186bf8720b473fac674531b229ad1395947e43054e2f89348")
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
+            "09847cd7d1ff157651fa25e5655821b2fb6285e53a5e2ed9d7ce01510ad995d4")
 
     @pytest.mark.parametrize("name", ["karate", "tree"])
     def test_max_group_is_the_largest_drop_in_k(self, karate, name):
